@@ -14,6 +14,7 @@ Exit codes: 0 all criteria pass, 1 criterion failure (report still written),
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -23,22 +24,23 @@ import warnings
 import numpy as np
 
 from . import __version__, algebra
-from .coadjoint import (
-    DualPoint,
-    OrbitClass,
-    classify,
-    coad,
-    random_point_in_class,
-    time_translation,
-)
+from .coadjoint import DualPoint, OrbitClass, classify, random_point_in_class
 from .dynamics import PhasePoint, angular_momentum, evolve, hamiltonian
 from .funcspace import ladder_build, probe_state
-from .group import GroupElement, Variant, Vec2, act_spacetime, compose, inverse, unextended_project
+from .group import (
+    GroupElement,
+    Variant,
+    Vec2,
+    act_spacetime,
+    compose,
+    element_distance,
+    inverse,
+    unextended_project,
+)
 from .moyal import (
     AxisQuadrature,
     covariance_residual,
     isotropy_commutator_residual,
-    kernel_apply,
     reconstruct_axis,
     smeared_pair_trace,
     tri_kernel,
@@ -46,37 +48,29 @@ from .moyal import (
     weyl_symbol_axis,
 )
 from .representations import (
-    CircleGridHermite,
-    CircleGridScalar,
+    CANONICAL_LABELS,
+    LABEL_FACTORIES,
     InducedRep2D,
-    InducedRepBC,
-    InducedRepDE,
-    InducedRepHIJ,
-    TorusGridScalar,
+    case_setup,
     generator_check,
-    labels_case_a,
-    labels_case_b,
-    labels_case_c,
-    labels_case_d,
-    labels_case_e,
+    homomorphism_residual,
     labels_case_f,
-    labels_case_g,
-    labels_case_h,
-    labels_case_i,
-    labels_case_j,
-    labels_case_k,
     rep_k,
 )
 
-COMMANDS = (
-    "classify",
-    "orbit-atlas",
-    "evolve",
-    "algebra-check",
-    "rep-check",
-    "moyal-check",
-    "group-check",
-)
+# the `inputs` keys each command reads
+INPUT_KEYS = {
+    "classify": ("point", "f", "m", "h", "p", "k", "j", "tau"),
+    "orbit-atlas": ("f_values", "m_values", "base"),
+    "evolve": ("m", "tau", "q0", "p0", "C1", "C2", "t_max", "dt"),
+    "algebra-check": ("tau", "contraction_speeds", "rank_samples"),
+    "rep-check": ("case", "tau", "samples", "scale", "grid", "hermite_n", "probe_kmax", "labels"),
+    "moyal-check": (
+        "m", "tau", "hermite_n", "box", "nodes", "samples", "roundtrip_box", "roundtrip_nodes",
+    ),
+    "group-check": ("samples", "taus"),
+}
+COMMANDS = tuple(INPUT_KEYS)
 
 
 class ScenarioError(ValueError):
@@ -195,11 +189,11 @@ def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
                     1.0, abs(lhs.alpha), abs(lhs.theta), abs(lhs.a.x1), abs(lhs.a.x2),
                     abs(lhs.v.x1), abs(lhs.v.x2),
                 )
-                assoc = max(assoc, _element_dist(lhs, rhs) / scale)
-                ident = max(ident, _element_dist(compose(g1, e), g1), _element_dist(compose(e, g1), g1))
+                assoc = max(assoc, element_distance(lhs, rhs) / scale)
+                ident = max(ident, element_distance(compose(g1, e), g1), element_distance(compose(e, g1), g1))
                 gi = compose(g1, inverse(g1))
                 scale_i = max(1.0, abs(g1.theta), g1.a.sq(), g1.v.sq())
-                inv_res = max(inv_res, _element_dist(gi, e) / scale_i)
+                inv_res = max(inv_res, element_distance(gi, e) / scale_i)
                 t, x = rng.uniform(-2, 2), Vec2(*rng.uniform(-2, 2, 2))
                 t1, x1 = act_spacetime(g2, t, x)
                 t2, x2 = act_spacetime(g1, t1, x1)
@@ -232,12 +226,6 @@ def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
         "projection": proj <= tol.get("projection", 1e-12),
     }
     return metrics, passes, []
-
-
-def _element_dist(g1: GroupElement, g2: GroupElement) -> float:
-    from .group import element_distance
-
-    return element_distance(g1, g2)
 
 
 def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
@@ -290,52 +278,23 @@ def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, 
     return metrics, passes, []
 
 
-_HOM_BUDGETS = {
-    "a": 1e-3, "b": 1e-3, "c": 1e-3, "d": 1e-3, "e": 1e-3, "g": 1e-3,
-    "f": 1e-6, "h": 1e-6, "i": 1e-6, "j": 1e-6, "k": 1e-6,
-}
-
-_DEFAULT_HERMITE_N = {"a": 32, "b": 96, "c": 96, "d": 48, "e": 48, "f": 32, "g": 32}
-
-
-def default_labels(case: str, tau: float = 1.0):
-    """Canonical well-conditioned labels per case."""
-    return {
-        "a": lambda: labels_case_a(f=3.0, m=1.0, C1=1.0, C2=0.5, tau=tau),
-        "b": lambda: labels_case_b(m=1.0, C3=1.0, C4=0.7, kappa1=0.3, tau=tau),
-        "c": lambda: labels_case_c(m=1.0, C3p=1.0, C4p=0.7, kappa1=0.3, tau=tau),
-        "d": lambda: labels_case_d(m=1.0, C4=0.8, C5=0.4, kappa1=0.2, kappa2=0.1, tau=tau),
-        "e": lambda: labels_case_e(m=1.0, C4p=0.8, C5p=0.4, kappa1=0.2, kappa2=0.1, tau=tau),
-        "f": lambda: labels_case_f(m=1.0, C1=1.0, C2=0.3, tau=tau),
-        "g": lambda: labels_case_g(f=1.5, C1=0.8, C2=0.4, tau=tau),
-        "h": lambda: labels_case_h(rho=Vec2(1.0, 0.0), kappa_vec=Vec2(0.0, 0.5), tau=tau),
-        "i": lambda: labels_case_i(kappa_vec=Vec2(0.0, -1.0), C5=0.7, tau=tau),
-        "j": lambda: labels_case_j(kappa_vec=Vec2(0.3, -1.0), C5p=0.7, tau=tau),
-        "k": lambda: labels_case_k(h=1.0, j=-1.0, tau=tau),
-    }[case]()
-
-
-def _labels_from_inputs(case: str, inputs: dict, tau: float):
-    given = inputs.get("labels")
+def case_labels(case: str, given: dict | None = None, tau: float = 1.0):
+    """Canonical labels of `case`, or labels from the JSON fields `given`: the
+    keywords of its factory, with `kappa` for kappa_vec and 2-lists for vectors."""
+    factory = LABEL_FACTORIES[case]
     if given is None:
-        return default_labels(case, tau)
-    builders = {
-        "a": lambda d: labels_case_a(d["f"], d["m"], d["C1"], d["C2"], tau),
-        "b": lambda d: labels_case_b(d["m"], d["C3"], d["C4"], d.get("kappa1", 0.0), tau),
-        "c": lambda d: labels_case_c(d["m"], d["C3p"], d["C4p"], d.get("kappa1", 0.0), tau),
-        "d": lambda d: labels_case_d(d["m"], d["C4"], d["C5"], d.get("kappa1", 0.0), d.get("kappa2", 0.0), tau),
-        "e": lambda d: labels_case_e(d["m"], d["C4p"], d["C5p"], d.get("kappa1", 0.0), d.get("kappa2", 0.0), tau),
-        "f": lambda d: labels_case_f(d["m"], d["C1"], d["C2"], tau),
-        "g": lambda d: labels_case_g(d["f"], d["C1"], d["C2"], tau),
-        "h": lambda d: labels_case_h(_vec(d["rho"]), _vec(d["kappa"]), tau),
-        "i": lambda d: labels_case_i(_vec(d["kappa"]), d["C5"], tau),
-        "j": lambda d: labels_case_j(_vec(d["kappa"]), d["C5p"], tau),
-        "k": lambda d: labels_case_k(d["h"], d["j"], tau),
-    }
-    try:
-        return builders[case](given)
-    except KeyError as exc:
-        raise ScenarioError(f"labels for case {case} missing field {exc}") from exc
+        return factory(**CANONICAL_LABELS[case], tau=tau)
+    _require(isinstance(given, dict), "labels must be an object")
+    params = inspect.signature(factory).parameters
+    names = {("kappa" if p == "kappa_vec" else p): p for p in params if p != "tau"}
+    unknown = sorted(set(given) - set(names))
+    _require(not unknown, f"labels for case {case}: unknown fields {unknown}, expected {sorted(names)}")
+    missing = [k for k, p in names.items() if params[p].default is params[p].empty and k not in given]
+    _require(not missing, f"labels for case {case} missing fields {missing}")
+    scalars = [v for k, v in given.items() if k not in ("rho", "kappa")]
+    _require(all(isinstance(v, (int, float)) for v in scalars), f"labels for case {case} must be numbers")
+    kwargs = {names[k]: _vec(v) if k in ("rho", "kappa") else float(v) for k, v in given.items()}
+    return factory(**kwargs, tau=tau)
 
 
 def _ongrid_element(rng, n_t: int, tau: float, scale: float = 0.5, torus=None) -> GroupElement:
@@ -355,91 +314,47 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
     _require(case in "abcdefghijk" and len(case) == 1, f"unknown case {case!r}")
     tau = float(inputs.get("tau", 1.0))
     samples = int(inputs.get("samples", 50))
-    n_herm = int(inputs.get("hermite_n", _DEFAULT_HERMITE_N.get(case, 32)))
-    labels = _labels_from_inputs(case, inputs, tau)
-    rng = np.random.default_rng(seed)
     scale = float(inputs.get("scale", 0.5))
+    grid = int(inputs.get("grid", 16))
+    labels = case_labels(case, inputs.get("labels"), tau)
+    rng = np.random.default_rng(seed)
     hom_max = unit_max = 0.0
-    resolution = 0.0
+    n_herm = resolution = None  # no basis, so no truncation, for cases h..k
     gen_residuals: dict[str, float] = {}
-
-    def track(a, b):
-        nonlocal hom_max, unit_max
-        hom_max = max(hom_max, float(np.linalg.norm(a - b)))
-        unit_max = max(unit_max, abs(float(np.linalg.norm(a)) - 1.0))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if case in ("a", "f", "g"):
-            lam = 1.1 if case == "a" else math.sqrt(abs(labels.m) * tau) if case == "f" else 1.0
-            ctx = ladder_build(n_herm, lam, dims=2, pad=0)
-            rep = InducedRep2D(labels, ctx)
-            kmax = int(inputs.get("probe_kmax", 1 if case == "a" else 5))
-            psi = probe_state(ctx, rng, kmax=kmax)
-            for _ in range(samples):
-                g1 = _random_element(rng, tau, scale=scale)
-                g2 = _random_element(rng, tau, scale=scale)
-                a = rep.apply(g1, rep.apply(g2, psi))
-                b = rep.apply(compose(g1, g2), psi)
-                track(a.coeffs, b.coeffs)
-                resolution = max(resolution, a.tail_fraction())
-            for direction in ("P1", "P2", "K1", "K2", "H", "J", "M", "F"):
-                gen_residuals[direction] = generator_check(
-                    labels, labels.orbit_class, direction, ctx, psi
-                )
-        elif case in ("b", "c"):
-            lam = (labels.f**2 / 2.0) ** 0.25
-            ctx = ladder_build(n_herm, lam, dims=1, pad=0)
-            n_t = int(inputs.get("grid", 16))
-            rep = InducedRepBC(labels, ctx, n_t=n_t)
-            base = probe_state(ctx, rng, kmax=2)
-            vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(n_t)])
-            state = CircleGridHermite(values=vals / np.linalg.norm(vals), lam=lam)
-            for _ in range(samples):
-                g1 = _ongrid_element(rng, n_t, tau, scale)
-                g2 = _ongrid_element(rng, n_t, tau, scale)
-                a = rep.apply(g1, rep.apply(g2, state))
-                b = rep.apply(compose(g1, g2), state)
-                track(a.values, b.values)
-        elif case in ("d", "e"):
-            lam = (labels.f**2 / 2.0) ** 0.25
-            ctx = ladder_build(n_herm, lam, dims=1, pad=0)
-            rep = InducedRepDE(labels, ctx)
-            psi = probe_state(ctx, rng, kmax=2)
-            for _ in range(samples):
-                g1 = _random_element(rng, tau, scale=scale)
-                g2 = _random_element(rng, tau, scale=scale)
-                a = rep.apply(g1, rep.apply(g2, psi))
-                b = rep.apply(compose(g1, g2), psi)
-                track(a.coeffs, b.coeffs)
-                resolution = max(resolution, a.tail_fraction())
-        elif case in ("h", "i", "j"):
-            rep = InducedRepHIJ(labels)
-            if case == "h":
-                n1 = n2 = int(inputs.get("grid", 16))
-                vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (n1, n2)))
-                state = TorusGridScalar(values=vals / np.linalg.norm(vals), tau=tau)
-                mk = lambda: _ongrid_element(rng, n1, tau, scale, torus=(n1, n2))
-            else:
-                n_t = int(inputs.get("grid", 16))
-                vals = np.exp(1j * rng.uniform(0, 2 * math.pi, n_t))
-                state = CircleGridScalar(values=vals / np.linalg.norm(vals))
-                mk = lambda: _ongrid_element(rng, n_t, tau, scale)
-            for _ in range(samples):
-                g1, g2 = mk(), mk()
-                a = rep.apply(g1, rep.apply(g2, state))
-                b = rep.apply(compose(g1, g2), state)
-                track(a.values, b.values)
-        else:  # case k
+        if case == "k":
             for _ in range(samples):
                 g1 = _random_element(rng, tau, scale=2.0)
                 g2 = _random_element(rng, tau, scale=2.0)
                 val = rep_k(labels, compose(g1, g2)) - rep_k(labels, g1) * rep_k(labels, g2)
                 hom_max = max(hom_max, abs(val))
                 unit_max = max(unit_max, abs(abs(rep_k(labels, g1)) - 1.0))
+        else:
+            sizes = {key: int(inputs[key]) for key in ("hermite_n", "probe_kmax") if key in inputs}
+            ctx, rep, state = case_setup(
+                case, labels, rng, n=sizes.get("hermite_n"), kmax=sizes.get("probe_kmax"), grid=grid
+            )
+            if ctx is not None:
+                n_herm, resolution = ctx.n, 0.0
+            if case in ("b", "c", "h", "i", "j"):
+                torus = (grid, grid) if case == "h" else None
+                draw = lambda: _ongrid_element(rng, grid, tau, scale, torus=torus)
+            else:
+                draw = lambda: _random_element(rng, tau, scale=scale)
+            for _ in range(samples):
+                g1, g2 = draw(), draw()
+                hom, unit, out = homomorphism_residual(rep.apply, g1, g2, state)
+                hom_max, unit_max = max(hom_max, hom), max(unit_max, unit)
+                if ctx is not None:
+                    resolution = max(resolution, out.tail_fraction())
+            if case in ("a", "f", "g"):
+                for direction in ("P1", "P2", "K1", "K2", "H", "J", "M", "F"):
+                    gen_residuals[direction] = generator_check(
+                        labels, labels.orbit_class, direction, ctx, state
+                    )
 
-    hom_budget = tol.get("homomorphism", _HOM_BUDGETS[case])
-    unit_budget = tol.get("unitarity", 1e-10)
     metrics = {
         "case": case,
         "hermite_n": n_herm,
@@ -449,8 +364,8 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
         "resolution_metrics": {"max_tail_fraction": resolution},
     }
     passes = {
-        "unitarity": unit_max <= unit_budget,
-        "homomorphism": hom_max <= hom_budget,
+        "unitarity": unit_max <= tol.get("unitarity", 1e-10),
+        "homomorphism": hom_max <= tol.get("homomorphism", 1e-6 if case in "fhijk" else 1e-3),
     }
     if gen_residuals:
         passes["generators"] = max(gen_residuals.values()) <= tol.get("generator", 1e-5)
@@ -545,6 +460,11 @@ def validate_scenario(scenario: dict) -> dict:
         _require(isinstance(val, (int, float)) and val > 0, f"tolerance {key!r} must be positive")
     inputs = scenario.get("inputs", {})
     _require(isinstance(inputs, dict), "'inputs' must be an object")
+    allowed = INPUT_KEYS[scenario["command"]]
+    if scenario["command"] == "classify" and "point" in inputs:
+        allowed = ("point",)  # a dual point under "point" or at top level, not both
+    unknown = sorted(set(inputs) - set(allowed))
+    _require(not unknown, f"unknown inputs {unknown} for {scenario['command']}; expected {sorted(allowed)}")
     return {"command": scenario["command"], "seed": seed, "tolerances": tolerances, "inputs": inputs}
 
 
@@ -593,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", help="scenario JSON file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--variant", choices=["oscillating", "expanding"], default=None)
     parser.add_argument("--hermite-n", type=int, default=None)
     parser.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE")
     parser.add_argument("--out", help="write the report JSON here (default stdout)")
@@ -620,26 +539,10 @@ def scenario_from_args(args) -> dict:
     inputs = scenario.setdefault("inputs", {})
     if args.seed is not None:
         scenario["seed"] = args.seed
-    if args.tau is not None:
-        inputs["tau"] = args.tau
-    if args.variant is not None:
-        inputs["variant"] = args.variant
-    if args.hermite_n is not None:
-        inputs["hermite_n"] = args.hermite_n
-    if args.case is not None:
-        inputs["case"] = args.case
-    if args.samples is not None:
-        inputs["samples"] = args.samples
-    if args.m is not None:
-        inputs["m"] = args.m
-    if args.box is not None:
-        inputs["box"] = args.box
-    if args.nodes is not None:
-        inputs["nodes"] = args.nodes
-    if args.labels is not None:
-        inputs["labels"] = json.loads(args.labels)
-    if args.point is not None:
-        inputs["point"] = json.loads(args.point)
+    for name in ("tau", "hermite_n", "case", "samples", "m", "box", "nodes", "labels", "point"):
+        value = getattr(args, name)
+        if value is not None:
+            inputs[name] = json.loads(value) if name in ("labels", "point") else value
     if args.tol:
         tols = scenario.setdefault("tolerances", {})
         for item in args.tol:

@@ -384,7 +384,3 @@ def star_product(wa: np.ndarray, wb: np.ndarray, quad: AxisQuadrature) -> np.nda
     out = 16.0 * np.einsum("aecf,cf,ca,fe->ae", y1, wbf, e_pair, e_pair)
     return out.reshape(n, n, n, n)
 
-
-# contract-facing names
-twisted_product = star_product
-twisted_product_axis = star_product_axis

@@ -27,8 +27,9 @@ from .funcspace import (
     cross_product,
     displacement_apply,
     exp_apply,
-    linear_product,
+    ladder_build,
     op_matrix,
+    probe_state,
     square_sum,
 )
 from .group import (
@@ -321,15 +322,6 @@ def nilpotent_rep_apply(
     return _apply_nilpotent_2d(OrbitClass.A, labels, g, psi, ctx)
 
 
-def full_rep_apply(
-    labels: RepLabels, case: OrbitClass, g: GroupElement, psi: HermiteState, ctx: BasisContext
-) -> HermiteState:
-    """One-shot wrapper over InducedRep2D (engines are cheaper in loops)."""
-    if labels.orbit_class is not case:
-        raise StratumError(f"labels carry class {labels.orbit_class}, requested {case}")
-    return InducedRep2D(labels, ctx).apply(g, psi)
-
-
 # --------------------------------------------------------------------------
 # 1D inner machinery: cases B, C, D, E
 # --------------------------------------------------------------------------
@@ -441,6 +433,15 @@ class CircleGridHermite:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
+    def tail_fraction(self) -> float:
+        """Fraction of the squared norm, over all nodes, carried by the top
+        quarter of modes (the cut of `HermiteState.tail_fraction`)."""
+        n = self.values.shape[1]
+        total = float(np.sum(np.abs(self.values) ** 2))
+        if total == 0.0:
+            return 0.0
+        return float(np.sum(np.abs(self.values[:, n - n // 4 :]) ** 2)) / total
+
 
 @dataclass(frozen=True)
 class CircleGridScalar:
@@ -532,10 +533,6 @@ class InducedRepBC:
         return replace(state, values=out)
 
 
-def rep_bc_apply(labels, g, state: CircleGridHermite, ctx: BasisContext) -> CircleGridHermite:
-    return InducedRepBC(labels, ctx, state.n_t).apply(g, state)
-
-
 # --------------------------------------------------------------------------
 # cases D and E
 # --------------------------------------------------------------------------
@@ -570,10 +567,6 @@ class InducedRepDE:
         out = inner_rep_apply(lab, n_star, out, self.ctx)
         character = b * lab.kappa1 + phi * lab.kappa2
         return replace(out, coeffs=out.coeffs * cmath.exp(1j * (scalar + character)))
-
-
-def rep_de_apply(labels, g, psi: HermiteState, ctx: BasisContext) -> HermiteState:
-    return InducedRepDE(labels, ctx).apply(g, psi)
 
 
 # --------------------------------------------------------------------------
@@ -653,10 +646,6 @@ class InducedRepHIJ:
         return replace(state, values=phase * np.roll(state.values, steps))
 
 
-def rep_hij_apply(labels, g, state):
-    return InducedRepHIJ(labels).apply(g, state)
-
-
 def rep_k(labels: RepLabels, g: GroupElement) -> complex:
     """Case K: the character e^{i b h} e^{i phi j}."""
     if labels.orbit_class is not OrbitClass.K:
@@ -699,3 +688,64 @@ def generator_check(
     target = 1j * (gen @ psi.coeffs.reshape(-1)).reshape(psi.coeffs.shape)
     denom = max(float(np.linalg.norm(target)), 1e-30)
     return float(np.linalg.norm(deriv - target)) / denom
+
+
+def homomorphism_residual(apply, g1, g2, state):
+    """Residuals of one pair: ||U(g1)U(g2)s - U(g1 g2)s||, | ||U(g1)U(g2)s|| - 1 |,
+    and the state U(g1)U(g2)s itself."""
+    a = apply(g1, apply(g2, state))
+    b = apply(compose(g1, g2), state)
+    av = a.coeffs if isinstance(a, HermiteState) else a.values
+    bv = b.coeffs if isinstance(b, HermiteState) else b.values
+    return float(np.linalg.norm(av - bv)), abs(float(np.linalg.norm(av)) - 1.0), a
+
+
+# --------------------------------------------------------------------------
+# case table: canonical labels, basis sizes, carriers and probe states
+# --------------------------------------------------------------------------
+
+LABEL_FACTORIES = dict(zip("abcdefghijk", (
+    labels_case_a, labels_case_b, labels_case_c, labels_case_d, labels_case_e, labels_case_f,
+    labels_case_g, labels_case_h, labels_case_i, labels_case_j, labels_case_k,
+)))
+
+# well-conditioned labels per case, as keyword arguments of its factory
+CANONICAL_LABELS = {
+    "a": {"f": 3.0, "m": 1.0, "C1": 1.0, "C2": 0.5},
+    "b": {"m": 1.0, "C3": 1.0, "C4": 0.7, "kappa1": 0.3},
+    "c": {"m": 1.0, "C3p": 1.0, "C4p": 0.7, "kappa1": 0.3},
+    "d": {"m": 1.0, "C4": 0.8, "C5": 0.4, "kappa1": 0.2, "kappa2": 0.1},
+    "e": {"m": 1.0, "C4p": 0.8, "C5p": 0.4, "kappa1": 0.2, "kappa2": 0.1},
+    "f": {"m": 1.0, "C1": 1.0, "C2": 0.3},
+    "g": {"f": 1.5, "C1": 0.8, "C2": 0.4},
+    "h": {"rho": Vec2(1.0, 0.0), "kappa_vec": Vec2(0.0, 0.5)},
+    "i": {"kappa_vec": Vec2(0.0, -1.0), "C5": 0.7},
+    "j": {"kappa_vec": Vec2(0.3, -1.0), "C5p": 0.7},
+    "k": {"h": 1.0, "j": -1.0},
+}
+
+# default Hermite basis size and probe-state mode cutoff of the Hermite-carried cases
+HERMITE_N = {"a": 32, "b": 96, "c": 96, "d": 80, "e": 80, "f": 32, "g": 32}
+PROBE_KMAX = {"a": 1, "b": 2, "c": 2, "d": 2, "e": 2, "f": 5, "g": 5}
+
+
+def case_setup(case: str, labels: RepLabels, rng, n: int | None = None, kmax: int | None = None, grid: int = 16):
+    """(ctx, rep, state) for case a..j: the basis context (None on scalar
+    grids), the representation and a normalized carried state.  Only the
+    state is drawn from `rng`; case k is the character `rep_k`."""
+    if case in ("h", "i", "j"):
+        vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (grid, grid) if case == "h" else grid))
+        vals = vals / np.linalg.norm(vals)
+        state = TorusGridScalar(values=vals, tau=labels.tau) if case == "h" else CircleGridScalar(values=vals)
+        return None, InducedRepHIJ(labels), state
+    # basis scale: calibrated for A and G, sqrt(|m| tau) for F, (f^2/2)^(1/4) for B..E
+    lam = {"a": 1.1, "f": math.sqrt(abs(labels.m) * labels.tau), "g": 1.0}.get(case, (labels.f**2 / 2.0) ** 0.25)
+    ctx = ladder_build(HERMITE_N[case] if n is None else n, lam, dims=2 if case in ("a", "f", "g") else 1, pad=0)
+    psi = probe_state(ctx, rng, kmax=PROBE_KMAX[case] if kmax is None else kmax)
+    if case in ("a", "f", "g"):
+        return ctx, InducedRep2D(labels, ctx), psi
+    if case in ("d", "e"):
+        return ctx, InducedRepDE(labels, ctx), psi
+    vals = np.array([psi.coeffs * np.exp(0.37j * i) for i in range(grid)])
+    state = CircleGridHermite(values=vals / np.linalg.norm(vals), lam=lam)
+    return ctx, InducedRepBC(labels, ctx, n_t=grid), state

@@ -55,14 +55,10 @@ from nhkit.moyal import (
 )
 from nhkit.cli import report_json, run as run_scenario
 from nhkit.representations import (
-    CircleGridHermite,
-    CircleGridScalar,
     InducedRep2D,
-    InducedRepBC,
-    InducedRepDE,
-    InducedRepHIJ,
-    TorusGridScalar,
+    case_setup,
     generator_check,
+    homomorphism_residual,
     labels_case_a,
     labels_case_b,
     labels_case_c,
@@ -276,12 +272,8 @@ def test_criterion_6_contraction_and_jacobi():
 def _hom_unit(apply_fn, pairs, state):
     hom = unit = 0.0
     for g1, g2 in pairs:
-        a = apply_fn(g1, apply_fn(g2, state))
-        b = apply_fn(compose(g1, g2), state)
-        av = a.coeffs if hasattr(a, "coeffs") else a.values
-        bv = b.coeffs if hasattr(b, "coeffs") else b.values
-        hom = max(hom, float(np.linalg.norm(av - bv)))
-        unit = max(unit, abs(float(np.linalg.norm(av)) - 1.0))
+        h, u, _ = homomorphism_residual(apply_fn, g1, g2, state)
+        hom, unit = max(hom, h), max(unit, u)
     return hom, unit
 
 
@@ -305,34 +297,38 @@ def test_criterion_7_representations():
     rng = np.random.default_rng(SEED + 6)
     n_pairs = 200
     results = {}
+    labs = {
+        "a": labels_case_a(f=3.0, m=1.0, C1=1.0, C2=0.5),
+        "b": labels_case_b(m=1.0, C3=1.0, C4=0.7, kappa1=0.3),
+        "c": labels_case_c(m=1.0, C3p=1.0, C4p=0.7, kappa1=0.3),
+        "d": labels_case_d(m=1.0, C4=0.8, C5=0.4, kappa1=0.2, kappa2=0.1),
+        "e": labels_case_e(m=1.0, C4p=0.8, C5p=0.4, kappa1=0.2, kappa2=0.1),
+        "f": labels_case_f(m=1.0, C1=1.0, C2=0.3),
+        "g": labels_case_g(f=1.5, C1=0.8, C2=0.4),
+        "h": labels_case_h(rho=Vec2(1.0, 0.0), kappa_vec=Vec2(0.0, 0.5)),
+        "i": labels_case_i(kappa_vec=Vec2(0.0, -1.0), C5=0.7),
+        "j": labels_case_j(kappa_vec=Vec2(0.3, -1.0), C5p=0.7),
+    }
 
-    # -- 2D function-space cases at their calibrated scales
-    lab_a = labels_case_a(f=3.0, m=1.0, C1=1.0, C2=0.5)
-    lab_f = labels_case_f(m=1.0, C1=1.0, C2=0.3)
-    lab_g = labels_case_g(f=1.5, C1=0.8, C2=0.4)
-    for key, lab, lam, kmax, budget in (
-        ("a", lab_a, 1.1, 1, 1e-3),
-        ("f", lab_f, 1.0, 5, 1e-6),
-        ("g", lab_g, 1.0, 4, 1e-3),
-    ):
-        ctx = ladder_build(32, lam, dims=2, pad=0)
-        rep = InducedRep2D(lab, ctx)
-        psi = probe_state(ctx, rng, kmax=kmax)
-        hom, unit = _hom_unit(rep.apply, _pairs(rng, n_pairs), psi)
+    # -- 2D function-space cases at their calibrated scales (lambda 1.1 for A, 1 for F, G)
+    reps = {}
+    for key, kmax, budget in (("a", 1, 1e-3), ("f", 5, 1e-6), ("g", 4, 1e-3)):
+        ctx, reps[key], psi = case_setup(key, labs[key], rng, n=32, kmax=kmax)
+        hom, unit = _hom_unit(reps[key].apply, _pairs(rng, n_pairs), psi)
         results[key] = (hom, budget, unit)
         gen_worst = max(
-            generator_check(lab, lab.orbit_class, d, ctx, psi) for d in ("P1", "P2", "K1", "K2", "H", "J")
+            generator_check(labs[key], labs[key].orbit_class, d, ctx, psi)
+            for d in ("P1", "P2", "K1", "K2", "H", "J")
         )
         assert gen_worst <= 1e-5, (key, gen_worst)
 
     # extension-bracket images on the interior block: [K^_i, P^_j] = -i d_ij m,
     # [K^_1, K^_2] = -i f, [P^_1, P^_2] = -i f / tau^2
-    ctx_a = ladder_build(32, 1.1, dims=2, pad=0)
-    rep_a = InducedRep2D(lab_a, ctx_a)
-    n = ctx_a.n
+    lab_a = labs["a"]
+    n = reps["a"].ctx.n
     idx = np.array([i * n + j for i in range(n - 2) for j in range(n - 2)])
     eye = np.eye(idx.size)
-    mats = {d: rep_a.generator_matrix(d) for d in ("P1", "P2", "K1", "K2")}
+    mats = {d: reps["a"].generator_matrix(d) for d in ("P1", "P2", "K1", "K2")}
     def blk(mat):
         return mat[np.ix_(idx, idx)]
     bracket_worst = max(
@@ -346,53 +342,25 @@ def test_criterion_7_representations():
     # -- nilpotent representation (padded displacements, no quadratic flows)
     ctx_nilp = ladder_build(32, 1.1, dims=2)
     psi_n = probe_state(ctx_nilp, rng, kmax=4)
-    hom = unit = 0.0
-    for g1, g2 in _pairs(rng, n_pairs):
-        n1 = GroupElement(g1.alpha, g1.theta, 0.0, g1.a, g1.v, 0.0)
-        n2 = GroupElement(g2.alpha, g2.theta, 0.0, g2.a, g2.v, 0.0)
-        a = nilpotent_rep_apply(lab_a, n1, nilpotent_rep_apply(lab_a, n2, psi_n, ctx_nilp), ctx_nilp)
-        b = nilpotent_rep_apply(lab_a, compose(n1, n2), psi_n, ctx_nilp)
-        hom = max(hom, float(np.linalg.norm(a.coeffs - b.coeffs)))
-        unit = max(unit, abs(a.norm() - 1.0))
+    nilp_pairs = [
+        tuple(GroupElement(g.alpha, g.theta, 0.0, g.a, g.v, 0.0) for g in pair) for pair in _pairs(rng, n_pairs)
+    ]
+    hom, unit = _hom_unit(lambda g, s: nilpotent_rep_apply(lab_a, g, s, ctx_nilp), nilp_pairs, psi_n)
     results["nilpotent"] = (hom, 1e-6, unit)
 
-    # -- 1D inner cases
-    lab_b = labels_case_b(m=1.0, C3=1.0, C4=0.7, kappa1=0.3)
-    lab_c = labels_case_c(m=1.0, C3p=1.0, C4p=0.7, kappa1=0.3)
-    lam1 = (lab_b.f**2 / 2.0) ** 0.25
-    for key, lab in (("b", lab_b), ("c", lab_c)):
-        ctx1 = ladder_build(96, lam1, dims=1, pad=0)
-        rep = InducedRepBC(lab, ctx1, n_t=16)
-        base = probe_state(ctx1, rng, kmax=2)
-        vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(16)])
-        state = CircleGridHermite(values=vals / np.linalg.norm(vals), lam=lam1)
-        hom, unit = _hom_unit(rep.apply, _pairs(rng, 60, ongrid=(16, 16)), state)
-        results[key] = (hom, 1e-3, unit)
-
-    lab_d = labels_case_d(m=1.0, C4=0.8, C5=0.4, kappa1=0.2, kappa2=0.1)
-    lab_e = labels_case_e(m=1.0, C4p=0.8, C5p=0.4, kappa1=0.2, kappa2=0.1)
-    for key, lab in (("d", lab_d), ("e", lab_e)):
-        ctx1 = ladder_build(80, lam1, dims=1, pad=0)
-        rep = InducedRepDE(lab, ctx1)
-        psi1 = probe_state(ctx1, rng, kmax=2)
-        hom, unit = _hom_unit(rep.apply, _pairs(rng, n_pairs), psi1)
-        results[key] = (hom, 1e-3, unit)
-
-    # -- character-grid cases
-    lab_h = labels_case_h(rho=Vec2(1.0, 0.0), kappa_vec=Vec2(0.0, 0.5))
-    rep_h = InducedRepHIJ(lab_h)
-    vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (16, 16)))
-    state_h = TorusGridScalar(values=vals / np.linalg.norm(vals), tau=1.0)
-    hom, unit = _hom_unit(rep_h.apply, _pairs(rng, n_pairs, ongrid=(16, 16)), state_h)
-    results["h"] = (hom, 1e-6, unit)
-
-    for key, lab in (("i", labels_case_i(kappa_vec=Vec2(0.0, -1.0), C5=0.7)),
-                     ("j", labels_case_j(kappa_vec=Vec2(0.3, -1.0), C5p=0.7))):
-        rep_ij = InducedRepHIJ(lab)
-        sv = np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
-        state_ij = CircleGridScalar(values=sv / np.linalg.norm(sv))
-        hom, unit = _hom_unit(rep_ij.apply, _pairs(rng, n_pairs, ongrid=(16, 16)), state_ij)
-        results[key] = (hom, 1e-6, unit)
+    # -- 1D inner cases (lambda = (f^2/2)^(1/4)), then the character-grid cases
+    for key, n_basis, count, ongrid, budget in (
+        ("b", 96, 60, (16, 16), 1e-3),
+        ("c", 96, 60, (16, 16), 1e-3),
+        ("d", 80, n_pairs, None, 1e-3),
+        ("e", 80, n_pairs, None, 1e-3),
+        ("h", None, n_pairs, (16, 16), 1e-6),
+        ("i", None, n_pairs, (16, 16), 1e-6),
+        ("j", None, n_pairs, (16, 16), 1e-6),
+    ):
+        _, rep, state = case_setup(key, labs[key], rng, n=n_basis, kmax=2)
+        hom, unit = _hom_unit(rep.apply, _pairs(rng, count, ongrid=ongrid), state)
+        results[key] = (hom, budget, unit)
 
     lab_k = labels_case_k(h=1.0, j=-1.0)
     hom = unit = 0.0
@@ -408,26 +376,10 @@ def test_criterion_7_representations():
     for key in ("a", "b", "c", "d", "e", "g"):
         residuals = []
         for n_basis in (24, 32, 40):
-            if key in ("a", "g"):
-                lab = lab_a if key == "a" else lab_g
-                ctx = ladder_build(n_basis, 1.1 if key == "a" else 1.0, dims=2, pad=0)
-                rep = InducedRep2D(lab, ctx)
-                st = probe_state(ctx, np.random.default_rng(5), kmax=1)
-                residuals.append(_hom_unit(rep.apply, mono_pairs, st)[0])
-            elif key in ("b", "c"):
-                lab = lab_b if key == "b" else lab_c
-                ctx = ladder_build(n_basis, lam1, dims=1, pad=0)
-                rep = InducedRepBC(lab, ctx, n_t=16)
-                base = probe_state(ctx, np.random.default_rng(5), kmax=2)
-                vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(16)])
-                st = CircleGridHermite(values=vals / np.linalg.norm(vals), lam=lam1)
-                residuals.append(_hom_unit(rep.apply, mono_pairs_grid, st)[0])
-            else:
-                lab = lab_d if key == "d" else lab_e
-                ctx = ladder_build(n_basis, lam1, dims=1, pad=0)
-                rep = InducedRepDE(lab, ctx)
-                st = probe_state(ctx, np.random.default_rng(5), kmax=2)
-                residuals.append(_hom_unit(rep.apply, mono_pairs, st)[0])
+            kmax = 1 if key in ("a", "g") else 2
+            _, rep, st = case_setup(key, labs[key], np.random.default_rng(5), n=n_basis, kmax=kmax)
+            pairs = mono_pairs_grid if key in ("b", "c") else mono_pairs
+            residuals.append(_hom_unit(rep.apply, pairs, st)[0])
         mono[key] = residuals
         assert residuals[2] < residuals[1] < residuals[0], (key, residuals)
 

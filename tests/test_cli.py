@@ -6,7 +6,7 @@ import pytest
 
 from nhkit.cli import (
     ScenarioError,
-    default_labels,
+    case_labels,
     report_json,
     run,
     validate_scenario,
@@ -120,8 +120,53 @@ def test_determinism_byte_identical_reports():
 
 def test_default_labels_cover_all_cases():
     for case in "abcdefghijk":
-        labels = default_labels(case)
+        labels = case_labels(case)
         assert labels.orbit_class.value.lower() == case
+
+
+def test_case_labels_from_json_fields():
+    assert case_labels("h", {"rho": [1, 0], "kappa": [0, 0.5]}) == case_labels("h")
+    assert case_labels("b", {"m": 1, "C3": 1, "C4": 0.7}).kappa1 == 0.0
+    with pytest.raises(ScenarioError):
+        case_labels("k", {"h": 1.0, "j": 0.0, "jj": 1.0})
+    with pytest.raises(ScenarioError):
+        case_labels("h", {"rho": [1.0, 0.0]})
+    with pytest.raises(ScenarioError):
+        case_labels("i", {"kappa_vec": [0.0, -1.0], "C5": 0.7})
+    with pytest.raises(ScenarioError):
+        case_labels("i", {"kappa": [0.0, -1.0], "C5": "0.7"})
+
+
+def test_validate_scenario_rejects_unknown_inputs():
+    with pytest.raises(ScenarioError):
+        validate_scenario({"command": "group-check", "inputs": {"tau": 2.0}})
+    with pytest.raises(ScenarioError):
+        validate_scenario({"command": "rep-check", "inputs": {"case": "f", "hermit_n": 24}})
+    point = {"f": 0, "m": 0, "h": 1, "p": [0, 0], "k": [0, 0], "j": 0}
+    validate_scenario({"command": "classify", "inputs": point})
+    validate_scenario({"command": "classify", "inputs": {"point": point}})
+    with pytest.raises(ScenarioError):
+        validate_scenario({"command": "classify", "inputs": {"point": point, "tau": 2.0}})
+    assert _cli("group-check", "--tau", "2", "--samples", "1").returncode == 2
+
+
+def test_rep_check_d_and_e_pass_at_default_inputs():
+    for case in "de":
+        report = run({"command": "rep-check", "seed": 0, "inputs": {"case": case}})
+        assert all(report["pass"].values()), (case, report["metrics"])
+
+
+def test_rep_check_reports_truncation_only_where_there_is_a_basis():
+    for case in "bc":
+        metrics = run(
+            {"command": "rep-check", "seed": 1, "inputs": {"case": case, "samples": 2, "hermite_n": 32}}
+        )["metrics"]
+        assert metrics["hermite_n"] == 32
+        assert metrics["resolution_metrics"]["max_tail_fraction"] > 0.0
+    for case in "hijk":
+        metrics = run({"command": "rep-check", "seed": 1, "inputs": {"case": case, "samples": 2}})["metrics"]
+        assert metrics["hermite_n"] is None
+        assert metrics["resolution_metrics"]["max_tail_fraction"] is None
 
 
 def _cli(*args):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhkit.coadjoint import OrbitClass
-from nhkit.funcspace import ladder_build, probe_state
+from nhkit.funcspace import HermiteState, ladder_build, probe_state
 from nhkit.group import (
     GroupElement,
     Variant,
@@ -29,6 +29,7 @@ from nhkit.representations import (
     TorusGridScalar,
     generator_check,
     generators,
+    homomorphism_residual,
     inner_rep_apply,
     intertwiner_generator,
     labels_case_a,
@@ -90,13 +91,10 @@ def small_element(rng, scale=0.5):
 
 
 def hom_residual(apply_fn, g1, g2, state_arr, unit=None):
-    a = apply_fn(g1, apply_fn(g2, state_arr))
-    b = apply_fn(compose(g1, g2), state_arr)
-    av = a.coeffs if hasattr(a, "coeffs") else a.values
-    bv = b.coeffs if hasattr(b, "coeffs") else b.values
+    hom, unit_err, _ = homomorphism_residual(apply_fn, g1, g2, state_arr)
     if unit is not None:
-        unit.append(abs(float(np.linalg.norm(av)) - 1.0))
-    return float(np.linalg.norm(av - bv))
+        unit.append(unit_err)
+    return hom
 
 
 # --------------------------------------------------------------------------
@@ -337,6 +335,14 @@ def test_case_bc_homomorphism_and_unitarity(ctx1d, rng, labels, sign):
         )
     assert worst <= 1e-3  # truncation-limited; calibrated at N = 96
     assert max(units) <= 1e-10
+
+
+def test_circle_grid_tail_fraction_matches_hermite_state(ctx1d, rng):
+    coeffs = rng.normal(size=ctx1d.n) + 1j * rng.normal(size=ctx1d.n)
+    psi = HermiteState(dims=1, n=ctx1d.n, lam=ctx1d.lam, coeffs=coeffs)
+    grid = CircleGridHermite(values=np.array([coeffs * np.exp(0.37j * i) for i in range(N_T)]), lam=ctx1d.lam)
+    assert 0.0 < psi.tail_fraction() < 1.0
+    assert abs(grid.tail_fraction() - psi.tail_fraction()) <= 1e-14
 
 
 def test_case_bc_off_grid_rejected(ctx1d, rng):
