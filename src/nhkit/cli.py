@@ -527,11 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{where} is not valid JSON: {exc}") from exc
+
+
 def scenario_from_args(args) -> dict:
     scenario: dict = {"command": args.command, "seed": 0, "inputs": {}, "tolerances": {}}
     if args.scenario:
         with open(args.scenario) as fh:
-            loaded = json.load(fh)
+            loaded = _parse_json(fh.read(), "scenario file")
         if not isinstance(loaded, dict):
             raise ScenarioError("scenario file must hold a JSON object")
         scenario.update(loaded)
@@ -542,7 +549,7 @@ def scenario_from_args(args) -> dict:
     for name in ("tau", "hermite_n", "case", "samples", "m", "box", "nodes", "labels", "point"):
         value = getattr(args, name)
         if value is not None:
-            inputs[name] = json.loads(value) if name in ("labels", "point") else value
+            inputs[name] = _parse_json(value, f"--{name}") if name in ("labels", "point") else value
     if args.tol:
         tols = scenario.setdefault("tolerances", {})
         for item in args.tol:

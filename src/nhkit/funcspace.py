@@ -5,10 +5,9 @@ representation operator.
 Basis functions along each axis are the orthonormal Hermite functions of
 lambda*y.  Polynomial and derivative operators then have exact sparse matrix
 elements; exponentials of quadratic Hermitian generators are evaluated by
-dense eigendecomposition (unitary to machine precision), while the
-phase/shift displacements are evaluated in a padded basis and restricted to
-the working block, which reproduces the continuum matrix elements instead of
-corrupting large displacements at the cutoff.
+dense eigendecomposition (unitary to machine precision); phase/shift
+displacements are the continuum matrix elements in closed form by default, or
+on a `pad=0` context the exponentials of the truncated generators.
 """
 
 from __future__ import annotations
@@ -38,9 +37,34 @@ def _ladder_matrices(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return u_mat / lam, d_mat * lam
 
 
+def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
+    """Continuum N x N block of (translation by `shift`) o (multiplication e^{i phase y})
+    in the basis of lam*y, batched over broadcast phase and shift: e^{-i shift phase/2}
+    D(alpha), alpha = (lam shift + i phase/lam)/sqrt(2), with the Cahill-Glauber elements
+    (Phys. Rev. 177 (1969) 1857) <k+d|D|k> = u^d g_k^(d), <k|D|k+d> = (-conj u)^d g_k^(d),
+    u = alpha/|alpha|, g_k^(d) = sqrt(k!/(k+d)!) x^(d/2) e^(-x/2) L_k^(d)(x), x = |alpha|^2,
+    by the stable three-term recurrence in k (the column recurrence in D|k> is unstable)."""
+    phase, shift = np.broadcast_arrays(np.asarray(phase, float), np.asarray(shift, float))
+    alpha = (lam * shift + 1j * phase / lam) / np.sqrt(2.0)
+    x, d, kk = np.abs(alpha)[..., None] ** 2, np.arange(n), np.arange(n - 1)[:, None]
+    g = np.empty(alpha.shape + (n, n))  # g[..., k, d]
+    g[..., 0, :] = np.exp(-x / 2.0) * np.cumprod(np.concatenate([np.ones_like(x), np.sqrt(x / d[1:])], -1), -1)
+    # g_{k+1} = ((2k+1+d-x) g_k - sqrt(k(k+d)) g_{k-1}) / sqrt((k+1)(k+1+d))
+    r = np.sqrt((kk + 1.0) * (kk + 1 + d))
+    a, b, c = (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r
+    g[..., 1, :] = (a[0] - b[0] * x) * g[..., 0, :]
+    for k in range(1, n - 1):
+        g[..., k + 1, :] = (a[k] - b[k] * x) * g[..., k, :] - c[k] * g[..., k - 1, :]
+    turn = np.exp(1j * np.angle(alpha)[..., None] * d)  # u^d
+    phases = np.stack([(-1.0) ** d * turn.conj(), turn], -2) * np.exp(-0.5j * shift * phase)[..., None, None]
+    diff = np.subtract.outer(d, d)  # row - col
+    return g[..., np.minimum.outer(d, d), abs(diff)] * phases[..., (diff >= 0).astype(int), abs(diff)]
+
+
 class BasisContext:
-    """Per-axis ladder matrices, parity, padded displacement machinery and a
-    cache of eigendecompositions for operator exponentials."""
+    """Per-axis ladder matrices, parity, displacements (`pad=None`: continuum
+    elements; `pad=0`: exponentials of the truncated generators, exactly
+    unitary on the N x N block) and a cache of eigendecompositions."""
 
     def __init__(self, n: int, lam: float, dims: int, pad: int | None = None):
         if n < 4:
@@ -49,17 +73,18 @@ class BasisContext:
             raise ValueError("basis scale lambda must be positive")
         if dims not in (1, 2):
             raise ValueError("dims must be 1 or 2")
+        if pad not in (None, 0):
+            raise ValueError("pad must be None (continuum elements) or 0 (truncated generators)")
         self.n = n
         self.lam = lam
         self.dims = dims
-        self.pad = (2 * n + 16) if pad is None else pad
+        self.pad = pad
         self.y1d, self.d1d = _ladder_matrices(n, lam)
         self.parity1d = (-1.0) ** np.arange(n)
-        ypad, dpad = _ladder_matrices(n + self.pad, lam)
-        self._wy, self._vy = np.linalg.eigh(ypad)
-        self._wd, self._vd = np.linalg.eigh(1j * dpad)
+        if pad == 0:
+            (self._wy, self._vy), (self._wd, self._vd) = np.linalg.eigh(self.y1d), np.linalg.eigh(1j * self.d1d)
+            self._vyh, self._vdh = self._vy.conj().T, self._vd.conj().T  # built once, not per call
         self._exp_cache: dict = {}
-        self._disp_cache: dict = {}
         self._axis_op_cache: dict = {}
 
     # -- full-dimension operator matrices ------------------------------------
@@ -87,16 +112,15 @@ class BasisContext:
             return self.parity1d
         return np.multiply.outer(self.parity1d, self.parity1d)
 
-    # -- padded 1D displacements ----------------------------------------------
+    # -- 1D displacements -------------------------------------------------------
     def phase_shift_1d(self, phase: float, shift: float) -> np.ndarray:
         """Matrix of (translation by `shift`) o (multiplication e^{i phase y})
-        restricted to the working block."""
-        key = (float(phase), float(shift))
-        if key not in self._disp_cache:
-            m_op = (self._vy * np.exp(1j * phase * self._wy)) @ self._vy.conj().T
-            t_op = (self._vd * np.exp(1j * shift * self._wd)) @ self._vd.conj().T
-            self._disp_cache[key] = np.ascontiguousarray((t_op @ m_op)[: self.n, : self.n])
-        return self._disp_cache[key]
+        on the working block, with the semantics `pad` selects."""
+        if self.pad is None:
+            return phase_shift_block(self.n, self.lam, phase, shift)
+        m_op = (self._vy * np.exp(1j * phase * self._wy)) @ self._vyh
+        t_op = (self._vd * np.exp(1j * shift * self._wd)) @ self._vdh
+        return t_op @ m_op
 
 
 def ladder_build(n: int, lam: float, dims: int = 2, pad: int | None = None) -> BasisContext:
@@ -417,9 +441,8 @@ def exp_apply(
 def displacement_apply(phase, shift, psi: HermiteState, ctx: BasisContext) -> HermiteState:
     """Apply e^{i phase . y} followed by translation by `shift`.
 
-    Both factors are exponentials of linear generators, evaluated per axis in
-    the padded basis and restricted to the working block (the continuum
-    matrix elements, not the exponential of the truncated generator).
+    Both factors are exponentials of linear generators, evaluated per axis by
+    `BasisContext.phase_shift_1d` (continuum elements unless `pad=0`).
     """
     phase = np.atleast_1d(np.asarray(phase, dtype=float))
     shift = np.atleast_1d(np.asarray(shift, dtype=float))

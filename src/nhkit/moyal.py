@@ -5,7 +5,9 @@ twisted product through the closed-form tri-kernel.
 The kernel at phase-space point u = (q, p) acts as
     [Omega(q,p) phi](y) = 4 exp(-2i q.(m y + p)) phi(-y - 2p/m),
 i.e. parity transported by the group element (a = q, v = -p/m).  It
-factorizes exactly per axis, which every quadrature here exploits.  The
+factorizes exactly per axis, which every quadrature here exploits.  Each
+axis factor is a displaced parity with the continuum displacement elements
+(`funcspace.phase_shift_block`) whatever the context's `pad`.  The
 invariant measure is normalized as d mu = dq dp / (2 pi)^2 (one 2*pi per
 canonical pair); with that normalization the traciality delta, the inversion
 formula with unit constant and the tri-kernel twisted product are mutually
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .funcspace import BasisContext, HermiteState, _warn_resolution
+from .funcspace import BasisContext, HermiteState, _warn_resolution, phase_shift_block
 from .group import GroupElement, Variant, Vec2
 from .representations import InducedRep2D, RepLabels
 
@@ -32,24 +34,13 @@ TWO_PI = 2.0 * math.pi
 # kernel construction (per-axis factors)
 # --------------------------------------------------------------------------
 
-def _axis_parts(ctx: BasisContext, q: float, p: float, m: float):
-    """Left factor (M_{-2mq} Pi)[:N, :] and right factor S_{2p/m}[:, :N] of
-    one axis of the kernel, computed in the padded basis."""
-    c = -2.0 * m * q
-    s = 2.0 * p / m
-    left = (ctx._vy * np.exp(1j * c * ctx._wy)) @ ctx._vy.conj().T
-    npad = left.shape[0]
-    par = (-1.0) ** np.arange(npad)
-    left = (left * par[None, :])[: ctx.n, :]
-    right = ((ctx._vd * np.exp(1j * s * ctx._wd)) @ ctx._vd.conj().T)[:, : ctx.n]
-    return left, right
-
-
-def kernel_axis_matrix(q: float, p: float, m: float, ctx: BasisContext) -> np.ndarray:
-    """One-axis factor of the kernel including the per-axis constant
-    2 e^{-2iqp}; the full kernel is the Kronecker product of two of these."""
-    left, right = _axis_parts(ctx, q, p, m)
-    return (2.0 * cmath.exp(-2j * q * p)) * (left @ right)
+def kernel_axis_matrix(q: float, p, m: float, ctx: BasisContext) -> np.ndarray:
+    """One-axis factor of the kernel, the displaced parity 2 e^{2iqp} [T_{-2p/m} M_{-2mq}]
+    diag((-1)^n); the full kernel is the Kronecker product of two of these.
+    An array `p` gives a (..., N, N) batch."""
+    p = np.asarray(p, float)
+    disp = phase_shift_block(ctx.n, ctx.lam, -2.0 * m * q, -2.0 * p / m)
+    return disp * ((2.0 * np.exp(2j * q * p))[..., None, None] * ctx.parity1d)
 
 
 def kernel_apply(q: Vec2, p: Vec2, m: float, psi: HermiteState, ctx: BasisContext) -> HermiteState:
@@ -271,13 +262,9 @@ class AxisQuadrature:
 
 def _axis_kernel_batch(quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
     """(nq, np, N, N) array of one-axis kernel matrices over the grid."""
-    n = ctx.n
-    lefts = [_axis_parts(ctx, qv, 0.0, m)[0] for qv in quad.q]
-    rights = [_axis_parts(ctx, 0.0, pv, m)[1] for pv in quad.p]
-    out = np.empty((quad.q.size, quad.p.size, n, n), dtype=complex)
-    for i, (qv, left) in enumerate(zip(quad.q, lefts)):
-        for j, (pv, right) in enumerate(zip(quad.p, rights)):
-            out[i, j] = (2.0 * cmath.exp(-2j * qv * pv)) * (left @ right)
+    out = np.empty((quad.q.size, quad.p.size, ctx.n, ctx.n), dtype=complex)
+    for i, qv in enumerate(quad.q):
+        out[i] = kernel_axis_matrix(qv, quad.p, m, ctx)
     return out
 
 

@@ -339,7 +339,7 @@ def test_criterion_7_representations():
     )
     assert bracket_worst <= 1e-8
 
-    # -- nilpotent representation (padded displacements, no quadratic flows)
+    # -- nilpotent representation (continuum displacements, no quadratic flows)
     ctx_nilp = ladder_build(32, 1.1, dims=2)
     psi_n = probe_state(ctx_nilp, rng, kmax=4)
     nilp_pairs = [

@@ -186,6 +186,11 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text('{"command": "classify", "seed": "x"}')
     out = _cli("classify", "--scenario", str(bad))
     assert out.returncode == 2
+    # malformed JSON in a file or a flag is a scenario error too
+    bad.write_text('{"command": "classify",')
+    assert _cli("classify", "--scenario", str(bad)).returncode == 2
+    assert _cli("rep-check", "--case", "k", "--labels", "{h:1}").returncode == 2
+    assert _cli("classify", "--point", "[0,").returncode == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"

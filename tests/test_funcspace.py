@@ -17,20 +17,11 @@ from nhkit.funcspace import (
     linear_product,
     op_matrix,
     parity_apply,
+    phase_shift_block,
     probe_state,
     square_sum,
 )
-
-
-def hermite_fn(n, x):
-    """Orthonormal Hermite functions by recurrence (independent oracle)."""
-    h0 = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    if n == 0:
-        return h0
-    h1 = math.sqrt(2.0) * x * h0
-    for k in range(1, n):
-        h0, h1 = h1, math.sqrt(2.0 / (k + 1)) * x * h1 - math.sqrt(k / (k + 1.0)) * h0
-    return h1
+from conftest import hermite_fn
 
 
 def quad_element(f, m, n, lam):
@@ -203,6 +194,60 @@ def test_displacement_composition_weyl_phase(rng):
     assert np.linalg.norm(one.coeffs - phase * two.coeffs) <= 1e-8
 
 
+def displacement(n, alpha, lam=1.0):
+    """D(alpha) from the phase/shift block: T_s M_c = e^{-isc/2} D((lam s + i c/lam)/sqrt 2)."""
+    shift, phase = math.sqrt(2.0) * alpha.real / lam, math.sqrt(2.0) * alpha.imag * lam
+    return np.exp(0.5j * shift * phase) * phase_shift_block(n, lam, phase, shift)
+
+
+def laguerre_sum_displacement(n, alpha):
+    """<m|D(alpha)|k> from the explicit Laguerre sum, sqrt(lo!/(lo+d)!) alpha^d e^{-x/2}
+    L_lo^(d)(x) below the diagonal and (-conj alpha)^d in place of alpha^d above it."""
+    x = abs(alpha) ** 2
+    out = np.zeros((n, n), complex)
+    for m in range(n):
+        for k in range(n):
+            lo, d = min(m, k), abs(m - k)
+            lag = sum((-1) ** j * math.comb(lo + d, lo - j) * x**j / math.factorial(j) for j in range(lo + 1))
+            amp = math.sqrt(math.factorial(lo) / math.factorial(lo + d)) * math.exp(-x / 2.0) * lag
+            out[m, k] = amp * (alpha if m >= k else -alpha.conjugate()) ** d
+    return out
+
+
+def test_displacement_block_matches_laguerre_sum():
+    for alpha, lam in ((0.0, 1.0), (0.3 - 0.2j, 1.0), (-0.9 + 1.1j, 1.3), (1.2j, 0.7)):
+        ref = laguerre_sum_displacement(12, complex(alpha))
+        assert np.max(np.abs(displacement(12, complex(alpha), lam) - ref)) <= 1e-13
+    # batched over broadcast phase and shift, element for element
+    phases, shifts = np.array([[0.4], [-1.2]]), np.array([0.3, 2.0, -0.5])
+    batch = phase_shift_block(10, 1.3, phases, shifts)
+    assert batch.shape == (2, 3, 10, 10)
+    for i, j in np.ndindex(2, 3):
+        assert np.max(np.abs(batch[i, j] - phase_shift_block(10, 1.3, phases[i, 0], shifts[j]))) <= 1e-14
+
+
+def test_displacement_block_weyl_law_on_low_modes():
+    """D(a) D(b) = e^{i Im(a conj b)} D(a + b) on the 16 lowest modes.  The
+    product sums over all N columns of D(a); the column recurrence
+    D|k+1> = (a^dag - conj a) D|k> / sqrt(k+1) misses it by 4e-9 here."""
+    n, low = 96, 16
+    rng = np.random.default_rng(3)
+    pairs = [(4.0 + 0.0j, 4.0j)] + [
+        tuple(r * np.exp(1j * t) for r, t in zip(rng.uniform(1.0, 4.0, 2), rng.uniform(0, 2 * math.pi, 2)))
+        for _ in range(6)
+    ]
+    for a, b in pairs:
+        prod = (displacement(n, a) @ displacement(n, b))[:low, :low]
+        ref = np.exp(1j * (a * np.conj(b)).imag) * displacement(n, a + b)[:low, :low]
+        assert np.max(np.abs(prod - ref)) <= 1e-12
+
+
+def test_displacement_block_low_columns_have_unit_norm():
+    for alpha in (4.0, -2.5 + 3.0j, 2.8j):
+        cols = np.linalg.norm(displacement(96, complex(alpha))[:, :16], axis=0)
+        assert np.max(np.abs(cols - 1.0)) <= 1e-12
+
+
 def test_truncation_convergence_for_resolved_state(rng):
     q = QuadraticOperator(
         dims=2,
@@ -279,3 +324,5 @@ def test_basis_validation():
         ladder_build(8, -1.0, dims=1)
     with pytest.raises(ValueError):
         ladder_build(8, 1.0, dims=3)
+    with pytest.raises(ValueError):
+        ladder_build(8, 1.0, dims=1, pad=3)

@@ -27,6 +27,7 @@ from nhkit.moyal import (
     weyl_symbol_axis,
 )
 from nhkit.representations import InducedRep2D, labels_case_f
+from conftest import hermite_fn
 
 M = 1.0
 TAU = 1.0
@@ -81,6 +82,21 @@ def test_kernel_momentum_only_matches_shifted_gaussian(ctx):
     target = np.outer(np.eye(ctx.n)[0], coherent_axis(alpha2, ctx.n))
     overlap = abs(np.vdot(target, out.coeffs / 4.0))
     assert overlap >= 1.0 - 1e-8
+
+
+def test_kernel_axis_matrix_at_box_corners_matches_quadrature(ctx):
+    """<e_j| Omega_axis |e_k> = int e_j(y) 2 e^{-2iq(my + p)} e_k(-y - 2p/m) dy with
+    e_n(y) = sqrt(lam) h_n(lam y), by the trapezoid rule (spectrally accurate
+    for these smooth, Gaussian-decaying integrands) at the corners of the
+    round-trip box, where the displacement reaches |alpha|^2 = 100."""
+    lam, n = ctx.lam, ctx.n
+    y = np.linspace(-40.0, 40.0, 8001)
+    h = y[1] - y[0]
+    left = np.array([math.sqrt(lam) * hermite_fn(j, lam * y) for j in range(n)])
+    for q, p in ((5.0, 5.0), (5.0, -5.0), (-5.0, 5.0), (-5.0, -5.0)):
+        right = np.array([math.sqrt(lam) * hermite_fn(k, lam * (-y - 2.0 * p / M)) for k in range(n)])
+        oracle = (left * (2.0 * np.exp(-2j * q * (M * y + p)) * h)) @ right.T
+        assert np.max(np.abs(kernel_axis_matrix(q, p, M, ctx) - oracle)) <= 1e-12
 
 
 def test_group_element_for_goldens():
