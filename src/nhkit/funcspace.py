@@ -4,10 +4,12 @@ representation operator.
 
 Basis functions along each axis are the orthonormal Hermite functions of
 lambda*y.  Polynomial and derivative operators then have exact sparse matrix
-elements; exponentials of quadratic Hermitian generators are evaluated by
-dense eigendecomposition (unitary to machine precision); phase/shift
-displacements are the continuum matrix elements in closed form by default, or
-on a `pad=0` context the exponentials of the truncated generators.
+elements and act axis by axis (`op_apply`); exponentials of quadratic
+Hermitian generators are evaluated by eigendecomposition per exact sector,
+a connected component of the generator's nonzero pattern (unitary to
+machine precision); phase/shift displacements are the continuum matrix
+elements in closed form by default, or on a `pad=0` context the exponentials
+of the truncated generators.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
 class BasisContext:
     """Per-axis ladder matrices, parity, displacements (`pad=None`: continuum
     elements; `pad=0`: exponentials of the truncated generators, exactly
-    unitary on the N x N block) and a cache of eigendecompositions."""
+    unitary on the N x N block) and a cache of per-sector eigendecompositions."""
 
     def __init__(self, n: int, lam: float, dims: int, pad: int | None = None):
         if n < 4:
@@ -85,26 +87,6 @@ class BasisContext:
             (self._wy, self._vy), (self._wd, self._vd) = np.linalg.eigh(self.y1d), np.linalg.eigh(1j * self.d1d)
             self._vyh, self._vdh = self._vy.conj().T, self._vd.conj().T  # built once, not per call
         self._exp_cache: dict = {}
-        self._axis_op_cache: dict = {}
-
-    # -- full-dimension operator matrices ------------------------------------
-    def _axis_matrix(self, mat1d: np.ndarray, axis: int, tag: str) -> np.ndarray:
-        key = (tag, axis)
-        if key not in self._axis_op_cache:
-            if self.dims == 1:
-                self._axis_op_cache[key] = mat1d
-            else:
-                eye = np.eye(self.n)
-                self._axis_op_cache[key] = (
-                    np.kron(mat1d, eye) if axis == 0 else np.kron(eye, mat1d)
-                )
-        return self._axis_op_cache[key]
-
-    def y_matrix(self, axis: int = 0) -> np.ndarray:
-        return self._axis_matrix(self.y1d, axis, "y")
-
-    def d_matrix(self, axis: int = 0) -> np.ndarray:
-        return self._axis_matrix(self.d1d, axis, "d")
 
     def parity_vector(self) -> np.ndarray:
         """Diagonal of the parity operator over the flattened basis."""
@@ -375,40 +357,73 @@ def cross_product(p1, p2, k1, k2) -> QuadraticOperator:
     return linear_product(p1, k2) - linear_product(p2, k1)
 
 
-def op_matrix(q: QuadraticOperator, ctx: BasisContext) -> np.ndarray:
-    """Assemble the dense matrix of the operator over the flattened basis."""
+def op_apply(q: QuadraticOperator, coeffs: np.ndarray, ctx: BasisContext) -> np.ndarray:
+    """Apply the operator to coefficient arrays of shape (..., N) in 1D or
+    (..., N, N) in 2D with N x N matrices per axis: A @ C on the first axis,
+    C @ B.T on the last, X @ C @ Y.T for a product of factors on two axes."""
     if q.dims != ctx.dims:
         raise ValueError("operator/context dimension mismatch")
+    y, d = ctx.y1d, ctx.d1d
+    on = lambda mat, c, axis: c @ mat.T if axis == ctx.dims - 1 else mat @ c
+    out = np.zeros(np.shape(coeffs), dtype=complex)
+    for i in range(q.dims):  # the terms on axis i alone; axis 0 carries the constant
+        single = (
+            (q.const if i == 0 else 0.0) * np.eye(ctx.n) + q.lin_y[i] * y + q.lin_d[i] * d
+            + q.quad_yy[i, i] * (y @ y) + q.quad_dd[i, i] * (d @ d) + q.quad_yd[i, i] * 0.5 * (y @ d + d @ y)
+        )
+        out += on(single, coeffs, i)
+        for j in range(i + 1, q.dims):  # factors on axes i and j commute
+            right_of_y = (q.quad_yy[i, j] + q.quad_yy[j, i]) * y + q.quad_yd[i, j] * d
+            right_of_d = (q.quad_dd[i, j] + q.quad_dd[j, i]) * d + q.quad_yd[j, i] * y
+            for left, right in ((y, right_of_y), (d, right_of_d)):
+                if right.any():
+                    out += on(left, on(right, coeffs, j), i)
+    return out
+
+
+def op_matrix(q: QuadraticOperator, ctx: BasisContext) -> np.ndarray:
+    """Dense matrix of the operator over the flattened basis: `op_apply` on
+    the identity basis."""
     size = ctx.n**ctx.dims
-    mat = np.zeros((size, size), dtype=complex)
-    if q.const != 0.0:
-        mat += q.const * np.eye(size)
-    ys = [ctx.y_matrix(ax) for ax in range(ctx.dims)]
-    ds = [ctx.d_matrix(ax) for ax in range(ctx.dims)]
-    for i in range(q.dims):
-        if q.lin_y[i] != 0.0:
-            mat += q.lin_y[i] * ys[i]
-        if q.lin_d[i] != 0.0:
-            mat += q.lin_d[i] * ds[i]
-        for j in range(q.dims):
-            if q.quad_yy[i, j] != 0.0:
-                mat += q.quad_yy[i, j] * (ys[i] @ ys[j])
-            if q.quad_dd[i, j] != 0.0:
-                mat += q.quad_dd[i, j] * (ds[i] @ ds[j])
-            if q.quad_yd[i, j] != 0.0:
-                mat += q.quad_yd[i, j] * 0.5 * (ys[i] @ ds[j] + ds[j] @ ys[i])
-    return mat
+    basis = np.eye(size).reshape((size,) + (ctx.n,) * ctx.dims)
+    return op_apply(q, basis, ctx).reshape(size, size).T
+
+
+def _sectors(mat: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the exact nonzero pattern of a square matrix,
+    grouped by size: one (k, s) array of ascending indices per size s."""
+    rows, cols = np.nonzero(mat)
+    label = np.arange(mat.shape[0])
+    while True:  # min-label propagation with pointer jumping
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
 def _exp_factors(q: QuadraticOperator, ctx: BasisContext):
+    """Per group of equal-size sectors of the assembled generator: indices,
+    eigenvalues, eigenvectors V and V^H.  Entries outside the sectors are
+    exactly 0, so the blocks' eigendecompositions are the matrix's."""
     key = q.cache_key()
     if key not in ctx._exp_cache:
         mat = op_matrix(q, ctx)
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if herm_defect > 1e-10 * max(1.0, np.max(np.abs(mat))):
-            raise ValueError(f"assembled generator not Hermitian (defect {herm_defect:.2e})")
-        w, v = np.linalg.eigh(mat)
-        ctx._exp_cache[key] = (w, v)
+        tol = 1e-10 * max(1.0, np.max(np.abs(mat)))
+        factors = []
+        for idx in _sectors(mat):
+            block = mat[idx[:, :, None], idx[:, None, :]]
+            herm_defect = np.max(np.abs(block - block.conj().swapaxes(-1, -2)))
+            if herm_defect > tol:
+                raise ValueError(f"assembled generator not Hermitian (defect {herm_defect:.2e})")
+            w, v = np.linalg.eigh(block)
+            factors.append((idx, w, v, v.conj().swapaxes(-1, -2)))
+        ctx._exp_cache[key] = factors
     return ctx._exp_cache[key]
 
 
@@ -427,14 +442,17 @@ def exp_apply(
     """psi -> exp(i t M) psi with M the assembled matrix of q.
 
     Requires the hermitian-generator flag; the exponential is exactly unitary
-    because it is evaluated through the eigendecomposition of M.
+    because it is evaluated through the eigendecomposition of M, one exact
+    sector of M at a time.
     """
     if not q.hermitian_generator:
         raise ValueError("exp_apply requires an operator flagged hermitian-generator")
     _warn_resolution(psi, "exp_apply input")
-    w, v = _exp_factors(q, ctx)
     vec = psi.coeffs.reshape(-1)
-    out = v @ (np.exp(1j * t * w) * (v.conj().T @ vec))
+    out = np.empty(vec.shape, dtype=complex)
+    for idx, w, v, vh in _exp_factors(q, ctx):  # batched over each group's sectors
+        x = np.exp(1j * t * w) * (vh @ vec[idx][..., None])[..., 0]
+        out[idx] = (v @ x[..., None])[..., 0]
     return replace(psi, coeffs=out.reshape(psi.coeffs.shape))
 
 

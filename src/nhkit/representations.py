@@ -28,6 +28,7 @@ from .funcspace import (
     displacement_apply,
     exp_apply,
     ladder_build,
+    op_apply,
     op_matrix,
     probe_state,
     square_sum,
@@ -684,8 +685,7 @@ def generator_check(
     plus = rep.apply(build(eps, labels.tau), psi)
     minus = rep.apply(build(-eps, labels.tau), psi)
     deriv = (plus.coeffs - minus.coeffs) / (2.0 * eps)
-    gen = rep.generator_matrix(direction)
-    target = 1j * (gen @ psi.coeffs.reshape(-1)).reshape(psi.coeffs.shape)
+    target = 1j * op_apply(rep.ops[direction], psi.coeffs, ctx)
     denom = max(float(np.linalg.norm(target)), 1e-30)
     return float(np.linalg.norm(deriv - target)) / denom
 

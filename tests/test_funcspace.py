@@ -9,18 +9,21 @@ from nhkit.funcspace import (
     HermiteState,
     QuadraticOperator,
     ResolutionWarning,
+    _sectors,
     cross_product,
     displacement_apply,
     exp_apply,
     ground_state,
     ladder_build,
     linear_product,
+    op_apply,
     op_matrix,
     parity_apply,
     phase_shift_block,
     probe_state,
     square_sum,
 )
+from nhkit.representations import CANONICAL_LABELS, LABEL_FACTORIES, case_setup
 from conftest import hermite_fn
 
 
@@ -326,3 +329,97 @@ def test_basis_validation():
         ladder_build(8, 1.0, dims=3)
     with pytest.raises(ValueError):
         ladder_build(8, 1.0, dims=1, pad=3)
+
+
+def random_hermitian_operator(rng, dims: int) -> QuadraticOperator:
+    sym = lambda: (lambda a: a + a.T)(rng.normal(size=(dims, dims)))
+    return QuadraticOperator(
+        dims=dims,
+        const=rng.normal(),
+        lin_y=rng.normal(size=dims),
+        lin_d=1j * rng.normal(size=dims),
+        quad_yy=sym(),
+        quad_dd=sym(),
+        quad_yd=1j * rng.normal(size=(dims, dims)),
+        hermitian_generator=True,
+    )
+
+
+def kron_assembly(q: QuadraticOperator, ctx: BasisContext) -> np.ndarray:
+    """Reference: the operator as a sum of products of full-size axis matrices."""
+    eye = np.eye(ctx.n)
+    full = lambda m, ax: m if ctx.dims == 1 else (np.kron(m, eye) if ax == 0 else np.kron(eye, m))
+    ys = [full(ctx.y1d, ax) for ax in range(ctx.dims)]
+    ds = [full(ctx.d1d, ax) for ax in range(ctx.dims)]
+    mat = q.const * np.eye(ctx.n**ctx.dims) + sum(q.lin_y[i] * ys[i] + q.lin_d[i] * ds[i] for i in range(ctx.dims))
+    for i in range(ctx.dims):
+        for j in range(ctx.dims):
+            mat = mat + q.quad_yy[i, j] * ys[i] @ ys[j] + q.quad_dd[i, j] * ds[i] @ ds[j]
+            mat = mat + q.quad_yd[i, j] * 0.5 * (ys[i] @ ds[j] + ds[j] @ ys[i])
+    return mat
+
+
+def test_op_matrix_matches_kron_product_assembly(rng):
+    for dims, n in ((1, 12), (2, 9)):
+        ctx = ladder_build(n, 1.3, dims=dims)
+        for _ in range(5):
+            q = random_hermitian_operator(rng, dims)
+            assert np.max(np.abs(op_matrix(q, ctx) - kron_assembly(q, ctx))) <= 1e-13
+
+
+def test_op_apply_matches_op_matrix(rng):
+    for dims, n in ((1, 12), (2, 9)):
+        ctx = ladder_build(n, 0.8, dims=dims)
+        shape = (n,) * dims
+        q = random_hermitian_operator(rng, dims)
+        mat = op_matrix(q, ctx)
+        stack = rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
+        for c, batched in zip(stack, op_apply(q, stack, ctx)):
+            single = op_apply(q, c, ctx)
+            assert np.max(np.abs(single - (mat @ c.ravel()).reshape(shape))) <= 1e-12
+            assert np.max(np.abs(batched - single)) <= 1e-12
+
+
+def canonical_setup(case: str, rng, n: int):
+    return case_setup(case, LABEL_FACTORIES[case](**CANONICAL_LABELS[case]), rng, n=n, kmax=5)
+
+
+@pytest.mark.parametrize("case", ["a", "f", "g"])
+def test_sector_exp_apply_matches_dense_eigh(case, rng):
+    ctx, rep, psi = canonical_setup(case, rng, 16)
+    for name in ("H", "J"):
+        q = rep.ops[name]
+        w, v = np.linalg.eigh(op_matrix(q, ctx))
+        for t in (0.37, -1.9):
+            dense = v @ (np.exp(1j * t * w) * (v.conj().T @ psi.coeffs.ravel()))
+            assert np.linalg.norm(exp_apply(q, t, psi, ctx).coeffs.ravel() - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["a", "f", "g"])
+def test_generator_sectors_hold_every_nonzero_entry(case, rng):
+    ctx, rep, _ = canonical_setup(case, rng, 16)
+    for name in ("H", "J"):
+        mat = op_matrix(rep.ops[name], ctx)
+        groups = _sectors(mat)
+        members = np.concatenate([idx.ravel() for idx in groups])
+        assert np.array_equal(np.sort(members), np.arange(mat.shape[0]))
+        inside = np.zeros(mat.shape, dtype=bool)
+        for idx in groups:
+            for row in idx:
+                inside[np.ix_(row, row)] = True
+        assert np.all(mat[~inside] == 0.0)
+        if case in ("a", "g"):
+            assert sum(len(idx) for idx in groups) >= 2
+        if case == "f" and name == "H":
+            assert [idx.shape for idx in groups] == [(mat.shape[0], 1)]
+
+
+def test_unstructured_generator_is_one_sector_and_matches_dense_path(rng):
+    ctx, rep, state = canonical_setup("b", rng, 40)
+    q = rep.w_gen
+    mat = op_matrix(q, ctx)
+    assert [idx.shape for idx in _sectors(mat)] == [(1, 40)]
+    psi = HermiteState(dims=1, n=40, lam=ctx.lam, coeffs=state.values[0])
+    w, v = np.linalg.eigh(mat)
+    dense = v @ (np.exp(1j * 0.8 * w) * (v.conj().T @ psi.coeffs))
+    assert np.array_equal(exp_apply(q, 0.8, psi, ctx).coeffs, dense)

@@ -265,8 +265,8 @@ def test_case_f_central_and_translation_phases(rep_f, ctx2d, rng):
     # pure translation acts by the multiplication phase e^{-i m y.a}
     a = Vec2(0.2, -0.3)
     out = rep_f.apply(pure_translation(a), psi)
-    ymat1 = ctx2d.y_matrix(0)
-    ymat2 = ctx2d.y_matrix(1)
+    ymat1 = np.kron(ctx2d.y1d, np.eye(ctx2d.n))
+    ymat2 = np.kron(np.eye(ctx2d.n), ctx2d.y1d)
     gen = -LAB_F.m * (a.x1 * ymat1 + a.x2 * ymat2)
     w, v = np.linalg.eigh(gen)
     expected = (v @ (np.exp(1j * w) * (v.conj().T @ psi.coeffs.reshape(-1)))).reshape(32, 32)
