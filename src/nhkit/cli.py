@@ -70,6 +70,23 @@ INPUT_KEYS = {
     ),
     "group-check": ("samples", "taus"),
 }
+# the `tolerances` names each command reads
+TOLERANCE_KEYS = {
+    "classify": ("classify",),
+    "orbit-atlas": ("classify",),
+    "evolve": ("conservation",),
+    "algebra-check": ("jacobi", "slope"),
+    "rep-check": ("unitarity", "homomorphism", "generator"),
+    "moyal-check": ("covariance", "isotropy", "trikernel", "trace_smeared", "roundtrip"),
+    "group-check": ("associativity", "identity", "inverse", "action", "projection"),
+}
+# count inputs with their least value; inputs that must be finite numbers, or lists of them
+COUNT_INPUTS = {
+    "samples": 1, "nodes": 1, "roundtrip_nodes": 1, "rank_samples": 1, "grid": 1,
+    "hermite_n": 4, "probe_kmax": 0,
+}
+REAL_INPUTS = ("f", "m", "h", "j", "tau", "C1", "C2", "t_max", "dt", "scale", "box", "roundtrip_box")
+REAL_LIST_INPUTS = ("f_values", "m_values", "contraction_speeds", "taus")
 COMMANDS = tuple(INPUT_KEYS)
 
 
@@ -82,8 +99,14 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _vec(x) -> Vec2:
-    _require(isinstance(x, (list, tuple)) and len(x) == 2, f"expected a 2-vector, got {x!r}")
+    _require(
+        isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_real, x)), f"expected a 2-vector, got {x!r}"
+    )
     return Vec2(float(x[0]), float(x[1]))
 
 
@@ -91,6 +114,8 @@ def _dual_point(d: dict) -> DualPoint:
     _require(isinstance(d, dict), "dual point must be an object")
     for key in ("f", "m", "h", "p", "k", "j"):
         _require(key in d, f"dual point missing {key!r}")
+    for key in ("f", "m", "h", "j", "tau"):
+        _require(_is_real(d.get(key, 1.0)), f"dual point field {key!r} must be a number, got {d.get(key)!r}")
     return DualPoint(
         f=float(d["f"]),
         m=float(d["m"]),
@@ -413,12 +438,10 @@ def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
             c = np.zeros(n_herm, complex)
             c[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
             phis.append(c / np.linalg.norm(c))
-        rt_err = 0.0
-        for c in phis:
-            a_axis = np.outer(c, c.conj())
-            w_axis = weyl_symbol_axis(a_axis, quad_r, m, ctx)
-            a_back = reconstruct_axis(w_axis, quad_r, m, ctx)
-            rt_err = max(rt_err, float(np.linalg.norm(a_back - a_axis) / np.linalg.norm(a_axis)))
+        a_axes = np.stack([np.outer(c, c.conj()) for c in phis])  # both round trips in one stack
+        a_back = reconstruct_axis(weyl_symbol_axis(a_axes, quad_r, m, ctx), quad_r, m, ctx)
+        rel = np.linalg.norm(a_back - a_axes, axis=(1, 2)) / np.linalg.norm(a_axes, axis=(1, 2))
+        rt_err = float(np.max(rel))
     metrics = {
         "covariance_max": cov,
         "isotropy_max": iso,
@@ -457,7 +480,10 @@ def validate_scenario(scenario: dict) -> dict:
     tolerances = scenario.get("tolerances", {})
     _require(isinstance(tolerances, dict), "'tolerances' must be an object")
     for key, val in tolerances.items():
-        _require(isinstance(val, (int, float)) and val > 0, f"tolerance {key!r} must be positive")
+        _require(_is_real(val) and val > 0, f"tolerance {key!r} must be positive")
+    read = TOLERANCE_KEYS[scenario["command"]]
+    unknown = sorted(set(tolerances) - set(read))
+    _require(not unknown, f"unknown tolerances {unknown} for {scenario['command']}; expected {sorted(read)}")
     inputs = scenario.get("inputs", {})
     _require(isinstance(inputs, dict), "'inputs' must be an object")
     allowed = INPUT_KEYS[scenario["command"]]
@@ -465,6 +491,16 @@ def validate_scenario(scenario: dict) -> dict:
         allowed = ("point",)  # a dual point under "point" or at top level, not both
     unknown = sorted(set(inputs) - set(allowed))
     _require(not unknown, f"unknown inputs {unknown} for {scenario['command']}; expected {sorted(allowed)}")
+    for key, val in inputs.items():
+        if key in COUNT_INPUTS:
+            low = COUNT_INPUTS[key]
+            ok = isinstance(val, int) and not isinstance(val, bool) and val >= low
+            _require(ok, f"input {key!r} must be an integer >= {low}, got {val!r}")
+        elif key in REAL_INPUTS:
+            _require(_is_real(val), f"input {key!r} must be a finite number, got {val!r}")
+        elif key in REAL_LIST_INPUTS:
+            ok = isinstance(val, list) and len(val) > 0 and all(map(_is_real, val))
+            _require(ok, f"input {key!r} must be a nonempty list of finite numbers, got {val!r}")
     return {"command": scenario["command"], "seed": seed, "tolerances": tolerances, "inputs": inputs}
 
 
@@ -556,7 +592,10 @@ def scenario_from_args(args) -> dict:
             if "=" not in item:
                 raise ScenarioError(f"--tol expects NAME=VALUE, got {item!r}")
             name, val = item.split("=", 1)
-            tols[name] = float(val)
+            try:
+                tols[name] = float(val)
+            except ValueError as exc:
+                raise ScenarioError(f"--tol {name} must be a number, got {val!r}") from exc
     return scenario
 
 

@@ -7,7 +7,10 @@ The kernel at phase-space point u = (q, p) acts as
 i.e. parity transported by the group element (a = q, v = -p/m).  It
 factorizes exactly per axis, which every quadrature here exploits.  Each
 axis factor is a displaced parity with the continuum displacement elements
-(`funcspace.phase_shift_block`) whatever the context's `pad`.  The
+(`funcspace.phase_shift_block`) whatever the context's `pad`.  Only
+`weyl_symbol_axis` and `reconstruct_axis` walk the quadrature grid, one
+q-row of kernels at a time; the smeared traces and the 2D symbol map and its
+inverse are built on them, so no more than one row of kernels is held.  The
 invariant measure is normalized as d mu = dq dp / (2 pi)^2 (one 2*pi per
 canonical pair); with that normalization the traciality delta, the inversion
 formula with unit constant and the tri-kernel twisted product are mutually
@@ -206,30 +209,18 @@ def smeared_tri_kernel(
     """Third argument smeared against a Gaussian of width sigma: returns the
     numerical and closed-form values of
     integral Tr[Omega(u) Omega(u') Omega(u'')] G(u'') d mu(u'').
-    The smeared operator is trace class, so this weak form converges."""
-    num = 1.0 + 0.0j
-    closed = 1.0 + 0.0j
-    w2 = quad.weights_2d()
-    gauss = np.exp(-(np.add.outer(quad.q**2, quad.p**2)) / (2.0 * sigma**2))
-    omegas = _axis_kernel_batch(quad, m, ctx)
+    The smeared operator is trace class, so this weak form converges.  Per
+    axis, Tr[K1 K2 Omega(u'')] is the symbol of K1 K2, so both axes take one
+    grid walk."""
+    fronts, closed = [], []
     for ax in (0, 1):
         pick = (lambda v: v.x1) if ax == 0 else (lambda v: v.x2)
-        m1 = kernel_axis_matrix(pick(u[0]), pick(u[1]), m, ctx)
-        m2 = kernel_axis_matrix(pick(u2[0]), pick(u2[1]), m, ctx)
-        front = m1 @ m2  # Tr[m1 m2 m3] = sum_ij (m1 m2)[i,j] m3[j,i]
-        num *= np.einsum("ij,qpji,qp,qp->", front, omegas, gauss, w2)
-        q1v, p1v = pick(u[0]), pick(u[1])
-        q2v, p2v = pick(u2[0]), pick(u2[1])
-        phases = 4.0 * np.exp(
-            -2j
-            * (
-                q1v * (p2v - quad.p[None, :])
-                + q2v * (quad.p[None, :] - p1v)
-                + quad.q[:, None] * (p1v - p2v)
-            )
-        )
-        closed *= np.sum(phases * gauss * w2)
-    return complex(num), complex(closed)
+        q1, p1, q2, p2 = (pick(v) for v in (*u, *u2))
+        fronts.append(kernel_axis_matrix(q1, p1, m, ctx) @ kernel_axis_matrix(q2, p2, m, ctx))
+        phase = q1 * (p2 - quad.p) + q2 * (quad.p - p1) + quad.q[:, None] * (p1 - p2)
+        closed.append(4.0 * np.exp(-2j * phase))
+    num = _smear(weyl_symbol_axis(np.stack(fronts), quad, m, ctx), sigma, quad)
+    return complex(np.prod(num)), complex(np.prod(_smear(np.stack(closed), sigma, quad)))
 
 
 # --------------------------------------------------------------------------
@@ -252,31 +243,22 @@ class AxisQuadrature:
         x, w = leggauss(nodes)
         return AxisQuadrature(q=x * box, p=x * box, wq=w * box, wp=w * box, box=box)
 
-    @property
-    def nodes(self) -> int:
-        return self.q.size
-
     def weights_2d(self) -> np.ndarray:
         return np.outer(self.wq, self.wp) / TWO_PI
 
 
-def _axis_kernel_batch(quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
-    """(nq, np, N, N) array of one-axis kernel matrices over the grid."""
-    out = np.empty((quad.q.size, quad.p.size, ctx.n, ctx.n), dtype=complex)
-    for i, qv in enumerate(quad.q):
-        out[i] = kernel_axis_matrix(qv, quad.p, m, ctx)
-    return out
+def _smear(fields: np.ndarray, sigma: float, quad: AxisQuadrature) -> np.ndarray:
+    """integral F(u) G(u) d mu_axis(u) over the last two (grid) axes of `fields`,
+    for the Gaussian G of width sigma."""
+    gauss = np.exp(-(np.add.outer(quad.q**2, quad.p**2)) / (2.0 * sigma**2))
+    return np.sum(fields * gauss * quad.weights_2d(), axis=(-2, -1))
 
 
 def smeared_pair_trace(sigma: float, quad: AxisQuadrature, m: float, ctx: BasisContext) -> complex:
     """integral Tr[Omega(0,0) Omega(u)] G(u) d mu(u) for the separable
     Gaussian G of width sigma; equals G(0,0) = 1 up to truncation bias and
     quadrature error."""
-    omegas = _axis_kernel_batch(quad, m, ctx)
-    w0 = kernel_axis_matrix(0.0, 0.0, m, ctx)
-    traces = np.einsum("ij,qpji->qp", w0, omegas)
-    gauss = np.exp(-(np.add.outer(quad.q**2, quad.p**2)) / (2.0 * sigma**2))
-    per_axis = np.sum(traces * gauss * quad.weights_2d())
+    per_axis = _smear(weyl_symbol_axis(kernel_axis_matrix(0.0, 0.0, m, ctx), quad, m, ctx), sigma, quad)
     return complex(per_axis**2)
 
 
@@ -285,38 +267,46 @@ def smeared_pair_trace(sigma: float, quad: AxisQuadrature, m: float, ctx: BasisC
 # --------------------------------------------------------------------------
 
 def weyl_symbol_axis(a_axis: np.ndarray, quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
-    """Per-axis symbol field Tr[A_axis omega_axis(u)] over the grid, for one
-    axis factor of a product operator."""
-    omegas = _axis_kernel_batch(quad, m, ctx)
-    return np.einsum("ij,qpji->qp", a_axis, omegas)
+    """Per-axis symbol fields Tr[A omega(u)] over the grid: operators
+    (..., N, N) -> fields (..., nq, np).  With `reconstruct_axis` the only
+    walk over the kernel grid, one q-row of (np, N, N) kernels at a time."""
+    n, lead = ctx.n, a_axis.shape[:-2]
+    a_t = np.swapaxes(a_axis, -1, -2).reshape(-1, n * n)  # Tr[A K] = sum A^T[j, i] K[j, i]
+    out = np.empty((a_t.shape[0], quad.q.size, quad.p.size), complex)
+    for i, qv in enumerate(quad.q):
+        out[:, i] = a_t @ kernel_axis_matrix(qv, quad.p, m, ctx).reshape(quad.p.size, n * n).T
+    return out.reshape(lead + out.shape[1:])
 
 
 def reconstruct_axis(w_field: np.ndarray, quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
-    """Per-axis inverse map integral W(u) omega(u) d mu_axis(u)."""
-    omegas = _axis_kernel_batch(quad, m, ctx)
-    return np.einsum("qp,qp,qpij->ij", w_field, quad.weights_2d(), omegas)
+    """Per-axis inverse map integral W(u) omega(u) d mu_axis(u): fields
+    (..., nq, np) -> operators (..., N, N), one q-row of kernels at a time."""
+    n, lead = ctx.n, w_field.shape[:-2]
+    weighted = (w_field * quad.weights_2d()).reshape((-1,) + w_field.shape[-2:])
+    out = np.zeros((weighted.shape[0], n * n), complex)
+    for i, qv in enumerate(quad.q):
+        out += weighted[:, i] @ kernel_axis_matrix(qv, quad.p, m, ctx).reshape(quad.p.size, n * n)
+    return out.reshape(lead + (n, n))
 
 
 def weyl_symbol(a_matrix: np.ndarray, quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
     """Symbol field of a general operator on the flattened 2D basis, over the
-    tensor grid; output indices [q1, p1, q2, p2].  Modest node counts."""
+    tensor grid; output indices [q1, p1, q2, p2].  Two passes of the axis map:
+    axis 2 on the (i1, j1) stack of [i2, j2] blocks, then axis 1 on the
+    (q2, p2) stack of [i1, j1] blocks."""
     n = ctx.n
     a4 = a_matrix.reshape(n, n, n, n)  # A[(i1 i2), (j1 j2)] -> [i1, i2, j1, j2]
-    omegas = _axis_kernel_batch(quad, m, ctx)
-    # Tr[A Omega] = sum A[i1,i2,j1,j2] w1[j1,i1] w2[j2,i2]
-    half = np.einsum("acbd,QPdc->QPab", a4, omegas)
-    return np.einsum("QPab,qpba->qpQP", half, omegas)
+    half = weyl_symbol_axis(a4.transpose(0, 2, 1, 3), quad, m, ctx)  # [i1, j1, q2, p2]
+    return weyl_symbol_axis(half.transpose(2, 3, 0, 1), quad, m, ctx).transpose(2, 3, 0, 1)
 
 
 def reconstruct(w_field: np.ndarray, quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
-    """Inverse map integral W(u) Omega(u) d mu(u) on the same grid (modest
-    node counts; the per-axis variant scales to dense rules)."""
+    """Inverse map integral W(u) Omega(u) d mu(u) on the same grid, as two
+    passes of the axis map (axis 2, then axis 1 on the (i2, j2) stack)."""
     n = ctx.n
-    omegas = _axis_kernel_batch(quad, m, ctx)
-    w2 = quad.weights_2d()
-    partial = np.einsum("qpQP,QP,QPcd->qpcd", w_field, w2, omegas)
-    a4 = np.einsum("qpcd,qp,qpab->acbd", partial, w2, omegas)
-    return a4.reshape(n * n, n * n)
+    half = reconstruct_axis(w_field, quad, m, ctx)  # [q1, p1, i2, j2]
+    a4 = reconstruct_axis(half.transpose(2, 3, 0, 1), quad, m, ctx)  # [i2, j2, i1, j1]
+    return a4.transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +320,8 @@ def star_product_axis(wa: np.ndarray, wb: np.ndarray, quad: AxisQuadrature) -> n
                        e^{2i s(u,u')} e^{2i s(u',u'')} e^{2i s(u'',u)} dmu' dmu''
 
     with s(u, u') = q p' - q' p; the three phases separate over node indices,
-    reducing the double integral to chained contractions."""
+    reducing the double integral to chained contractions whose intermediates
+    are all n^3 on n nodes."""
     w2 = quad.weights_2d()
     wa_w = wa * w2
     wb_w = wb * w2
@@ -338,11 +329,13 @@ def star_product_axis(wa: np.ndarray, wb: np.ndarray, quad: AxisQuadrature) -> n
     e_qp = np.exp(-2j * np.outer(quad.q, quad.p))  # [q-node, p-node]
     e_neg = e_qp.conj()
     # T1[q', q, q''] = sum_{p'} e^{-2i q p'} WA_w[q', p'] e^{2i p' q''}
-    t1 = np.einsum("Qb,cb,Db->cQD", e_qp, wa_w, e_neg)
-    # F[q, p, q'', p''] = sum_{q'} T1[q', q, q''] e^{2i p q'} e^{-2i q' p''}
-    f_mid = np.einsum("cQD,cP,cd->QPDd", t1, e_neg, e_qp)
-    # out[q, p] = 4 sum_{q'', p''} F WB_w[q'', p''] e^{-2i q'' p} e^{2i p'' q}
-    return 4.0 * np.einsum("QPDd,Dd,DP,Qd->QP", f_mid, wb_w, e_qp, e_neg)
+    t1 = (wa_w[:, None, :] * e_qp) @ e_neg.T
+    # X[q', q'', q] = sum_{p''} e^{-2i q' p''} WB_w[q'', p''] e^{2i p'' q}
+    x = (e_qp[:, None, :] * wb_w) @ e_neg.T
+    # Y[q', q, p] = sum_{q''} T1[q', q, q''] X[q', q'', q] e^{-2i q'' p}
+    y = (t1 * x.transpose(0, 2, 1)) @ e_qp
+    # out[q, p] = 4 sum_{q'} Y[q', q, p] e^{2i p q'}
+    return 4.0 * np.einsum("cQP,cP->QP", y, e_neg)
 
 
 def star_product(wa: np.ndarray, wb: np.ndarray, quad: AxisQuadrature) -> np.ndarray:

@@ -148,6 +148,28 @@ def test_validate_scenario_rejects_unknown_inputs():
     with pytest.raises(ScenarioError):
         validate_scenario({"command": "classify", "inputs": {"point": point, "tau": 2.0}})
     assert _cli("group-check", "--tau", "2", "--samples", "1").returncode == 2
+    # counts are integers >= 1 (hermite_n >= 4), numbers are finite numbers
+    for inputs in (
+        {"case": "f", "samples": -5},
+        {"case": "f", "grid": 0},
+        {"case": "f", "hermite_n": 2},
+        {"case": "f", "samples": 2.5},
+        {"case": "f", "samples": True},
+        {"case": "f", "scale": "abc"},
+    ):
+        with pytest.raises(ScenarioError):
+            validate_scenario({"command": "rep-check", "inputs": inputs})
+    for inputs in ({"nodes": 0}, {"roundtrip_nodes": -1}, {"box": "abc"}, {"m": float("nan")}):
+        with pytest.raises(ScenarioError):
+            validate_scenario({"command": "moyal-check", "inputs": inputs})
+    with pytest.raises(ScenarioError):
+        validate_scenario({"command": "algebra-check", "inputs": {"rank_samples": 0}})
+    with pytest.raises(ScenarioError):
+        validate_scenario({"command": "group-check", "inputs": {"taus": ["a"]}})
+    # a tolerance name the command does not read
+    with pytest.raises(ScenarioError):
+        validate_scenario({"command": "group-check", "tolerances": {"assoc1ativity": 1e-30}})
+    validate_scenario({"command": "group-check", "tolerances": {"associativity": 1e-30}})
 
 
 def test_rep_check_d_and_e_pass_at_default_inputs():
@@ -191,6 +213,16 @@ def test_cli_exit_codes(tmp_path):
     assert _cli("classify", "--scenario", str(bad)).returncode == 2
     assert _cli("rep-check", "--case", "k", "--labels", "{h:1}").returncode == 2
     assert _cli("classify", "--point", "[0,").returncode == 2
+    # invalid counts, non-numeric values and unknown tolerance names
+    assert _cli("rep-check", "--case", "f", "--samples", "-5").returncode == 2
+    assert _cli("group-check", "--samples", "0").returncode == 2
+    assert _cli("rep-check", "--case", "f", "--hermite-n", "2").returncode == 2
+    assert _cli("moyal-check", "--nodes", "0").returncode == 2
+    assert _cli("group-check", "--samples", "1", "--tol", "assoc1ativity=1e-30").returncode == 2
+    assert _cli("group-check", "--samples", "1", "--tol", "associativity=abc").returncode == 2
+    bad.write_text('{"inputs": {"box": "abc"}}')
+    assert _cli("moyal-check", "--scenario", str(bad)).returncode == 2
+    assert _cli("classify", "--point", '{"f":"x","m":0,"h":1,"p":[0,0],"k":[0,0],"j":0}').returncode == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"

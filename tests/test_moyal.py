@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,51 @@ def test_general_reconstruct_matches_axis_path(ctx):
     a_full = reconstruct(w_full, quad, M, ctx)
     a_ref = np.kron(reconstruct_axis(w_axis, quad, M, ctx), reconstruct_axis(w_axis, quad, M, ctx))
     assert np.linalg.norm(a_full - a_ref) / np.linalg.norm(a_ref) <= 1e-10
+
+
+def test_weyl_symbol_of_product_operator_is_outer_product(ctx, rng):
+    quad = AxisQuadrature.build(3.0, 8)
+    a1, a2 = (rng.normal(size=(ctx.n, ctx.n)) + 1j * rng.normal(size=(ctx.n, ctx.n)) for _ in range(2))
+    field = weyl_symbol(np.kron(a1, a2), quad, M, ctx)
+    outer = np.multiply.outer(weyl_symbol_axis(a1, quad, M, ctx), weyl_symbol_axis(a2, quad, M, ctx))
+    assert np.linalg.norm(field - outer) / np.linalg.norm(outer) <= 1e-12
+
+
+def test_stacked_axis_maps_equal_per_operator_calls(ctx, rng):
+    quad = AxisQuadrature.build(4.0, 12)
+    ops = rng.normal(size=(2, 3, ctx.n, ctx.n)) + 1j * rng.normal(size=(2, 3, ctx.n, ctx.n))
+    fields = weyl_symbol_axis(ops, quad, M, ctx)
+    backs = reconstruct_axis(fields, quad, M, ctx)
+    assert fields.shape == (2, 3, 12, 12) and backs.shape == ops.shape
+    for k in np.ndindex(2, 3):
+        one = weyl_symbol_axis(ops[k], quad, M, ctx)
+        assert np.linalg.norm(fields[k] - one) <= 1e-13 * np.linalg.norm(one)
+        back = reconstruct_axis(one, quad, M, ctx)
+        assert np.linalg.norm(backs[k] - back) <= 1e-13 * np.linalg.norm(back)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_maps_stay_in_bounded_memory():
+    """No (nq, np, N, N) kernel batch and no n^4 star intermediate: at 96
+    nodes and N = 32 the batch alone would be 151 MB."""
+    ctx1 = ladder_build(32, 1.0, dims=1)
+    quad, quad_star = AxisQuadrature.build(5.0, 96), AxisQuadrature.build(5.0, 48)
+    c = coherent_axis(0.5, ctx1.n)
+    a_axis = np.outer(c, c.conj())
+    w_axis = weyl_symbol_axis(a_axis, quad, M, ctx1)
+    w_star = weyl_symbol_axis(a_axis, quad_star, M, ctx1)
+    limit = 16 * 2**20
+    assert _traced_peak(lambda: weyl_symbol_axis(a_axis, quad, M, ctx1)) < limit
+    assert _traced_peak(lambda: reconstruct_axis(w_axis, quad, M, ctx1)) < limit
+    assert _traced_peak(lambda: star_product_axis(w_star, w_star, quad_star)) < limit
 
 
 def test_star_unit(ctx):
