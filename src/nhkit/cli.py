@@ -49,7 +49,9 @@ from .moyal import (
 )
 from .representations import (
     CANONICAL_LABELS,
+    HERMITE_N,
     LABEL_FACTORIES,
+    PROBE_KMAX,
     InducedRep2D,
     case_setup,
     generator_check,
@@ -84,6 +86,14 @@ TOLERANCE_KEYS = {
 COUNT_INPUTS = {
     "samples": 1, "nodes": 1, "roundtrip_nodes": 1, "rank_samples": 1, "grid": 1,
     "hermite_n": 4, "probe_kmax": 0,
+}
+# real inputs with a sign rule, per command: the time scale tau > 0 always, and m != 0 where
+# the command divides by it or builds the basis scale sqrt(|m| tau) from it
+SIGN_INPUTS = {
+    "evolve": {"tau": "positive", "m": "nonzero"},
+    "algebra-check": {"tau": "positive"},
+    "rep-check": {"tau": "positive"},
+    "moyal-check": {"tau": "positive", "m": "nonzero"},
 }
 REAL_INPUTS = ("f", "m", "h", "j", "tau", "C1", "C2", "t_max", "dt", "scale", "box", "roundtrip_box")
 REAL_LIST_INPUTS = ("f_values", "m_values", "contraction_speeds", "taus")
@@ -358,6 +368,9 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
                 unit_max = max(unit_max, abs(abs(rep_k(labels, g1)) - 1.0))
         else:
             sizes = {key: int(inputs[key]) for key in ("hermite_n", "probe_kmax") if key in inputs}
+            if case in HERMITE_N:  # the probe state's modes 0..kmax must fit in the basis
+                n, kmax = sizes.get("hermite_n", HERMITE_N[case]), sizes.get("probe_kmax", PROBE_KMAX[case])
+                _require(kmax < n, f"probe_kmax {kmax} must be below hermite_n {n} for case {case}")
             ctx, rep, state = case_setup(
                 case, labels, rng, n=sizes.get("hermite_n"), kmax=sizes.get("probe_kmax"), grid=grid
             )
@@ -498,6 +511,9 @@ def validate_scenario(scenario: dict) -> dict:
             _require(ok, f"input {key!r} must be an integer >= {low}, got {val!r}")
         elif key in REAL_INPUTS:
             _require(_is_real(val), f"input {key!r} must be a finite number, got {val!r}")
+            sign = SIGN_INPUTS.get(scenario["command"], {}).get(key)
+            ok = sign is None or (val > 0 if sign == "positive" else val != 0)
+            _require(ok, f"input {key!r} must be {sign}, got {val!r}")
         elif key in REAL_LIST_INPUTS:
             ok = isinstance(val, list) and len(val) > 0 and all(map(_is_real, val))
             _require(ok, f"input {key!r} must be a nonempty list of finite numbers, got {val!r}")

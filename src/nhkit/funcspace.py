@@ -14,6 +14,7 @@ of the truncated generators.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -39,28 +40,52 @@ def _ladder_matrices(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return u_mat / lam, d_mat * lam
 
 
+@functools.lru_cache(maxsize=None)
+def _displacement_tables(n: int) -> tuple[np.ndarray, ...]:
+    """What `phase_shift_block` needs of n alone, read-only: modes d, coefficients a, b, c
+    [k, d], signs (-1)^d, and per element (row, col) the gather indices min(row, col) and
+    |row - col| into g[k, d] and (row >= col) n + |row - col| into the two phase rows."""
+    d, kk = np.arange(n), np.arange(n - 1)[:, None]
+    # g_{k+1} = ((2k+1+d-x) g_k - sqrt(k(k+d)) g_{k-1}) / sqrt((k+1)(k+1+d))
+    r = np.sqrt((kk + 1.0) * (kk + 1 + d))
+    diff = np.subtract.outer(d, d)  # row - col
+    tables = (d, (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r, (-1.0) ** d,
+              np.minimum.outer(d, d), abs(diff), (diff >= 0) * n + abs(diff))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
     """Continuum N x N block of (translation by `shift`) o (multiplication e^{i phase y})
     in the basis of lam*y, batched over broadcast phase and shift: e^{-i shift phase/2}
     D(alpha), alpha = (lam shift + i phase/lam)/sqrt(2), with the Cahill-Glauber elements
     (Phys. Rev. 177 (1969) 1857) <k+d|D|k> = u^d g_k^(d), <k|D|k+d> = (-conj u)^d g_k^(d),
     u = alpha/|alpha|, g_k^(d) = sqrt(k!/(k+d)!) x^(d/2) e^(-x/2) L_k^(d)(x), x = |alpha|^2,
-    by the stable three-term recurrence in k (the column recurrence in D|k> is unstable)."""
+    by the stable three-term recurrence in k (the column recurrence in D|k> is unstable).
+
+    The coefficients, sign row and gather indices depend on n alone and are
+    built once per n.  The recurrence runs k-major: g[k] is one contiguous row
+    over (batch..., d), and s[k] = a[k] - b[k] x is formed for every k up front,
+    so each step is g[k+1] = s[k] g[k] - c[k] g[k-1]."""
+    d, a, b, c, sign, lo, dist, pick = _displacement_tables(n)
     phase, shift = np.broadcast_arrays(np.asarray(phase, float), np.asarray(shift, float))
     alpha = (lam * shift + 1j * phase / lam) / np.sqrt(2.0)
-    x, d, kk = np.abs(alpha)[..., None] ** 2, np.arange(n), np.arange(n - 1)[:, None]
-    g = np.empty(alpha.shape + (n, n))  # g[..., k, d]
-    g[..., 0, :] = np.exp(-x / 2.0) * np.cumprod(np.concatenate([np.ones_like(x), np.sqrt(x / d[1:])], -1), -1)
-    # g_{k+1} = ((2k+1+d-x) g_k - sqrt(k(k+d)) g_{k-1}) / sqrt((k+1)(k+1+d))
-    r = np.sqrt((kk + 1.0) * (kk + 1 + d))
-    a, b, c = (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r
-    g[..., 1, :] = (a[0] - b[0] * x) * g[..., 0, :]
-    for k in range(1, n - 1):
-        g[..., k + 1, :] = (a[k] - b[k] * x) * g[..., k, :] - c[k] * g[..., k - 1, :]
+    x = np.abs(alpha)[..., None] ** 2
+    lead = (slice(None),) + (None,) * alpha.ndim  # a[k] broadcast over the batch
+    s = a[lead] - b[lead] * x
+    g = np.empty((n,) + alpha.shape + (n,))  # g[k, ..., d]
+    g[0] = np.exp(-x / 2.0) * np.cumprod(np.concatenate([np.ones_like(x), np.sqrt(x / d[1:])], -1), -1)
+    rows = list(g)  # one view per row, shared by the three streams below
+    np.multiply(s[0], rows[0], out=rows[1])
+    for s_k, c_k, prev, cur, nxt in zip(s[1:], c[1:], rows, rows[1:], rows[2:]):
+        np.multiply(s_k, cur, out=nxt)
+        nxt -= c_k * prev
     turn = np.exp(1j * np.angle(alpha)[..., None] * d)  # u^d
-    phases = np.stack([(-1.0) ** d * turn.conj(), turn], -2) * np.exp(-0.5j * shift * phase)[..., None, None]
-    diff = np.subtract.outer(d, d)  # row - col
-    return g[..., np.minimum.outer(d, d), abs(diff)] * phases[..., (diff >= 0).astype(int), abs(diff)]
+    phases = np.stack([sign * turn.conj(), turn], -2) * np.exp(-0.5j * shift * phase)[..., None, None]
+    out = np.take(phases.reshape(alpha.shape + (2 * n,)), pick, axis=-1)
+    out *= np.moveaxis(g, 0, -2)[..., lo, dist]
+    return out
 
 
 class BasisContext:
@@ -140,16 +165,14 @@ class HermiteState:
         """Fraction of the squared norm carried by the top quarter of modes
         along any axis."""
         cut = self.n - self.n // 4
-        total = float(np.sum(np.abs(self.coeffs) ** 2))
+        weight = np.abs(self.coeffs) ** 2
+        total = float(np.sum(weight))
         if total == 0.0:
             return 0.0
-        if self.dims == 1:
-            tail = float(np.sum(np.abs(self.coeffs[cut:]) ** 2))
-        else:
-            mask = np.zeros((self.n, self.n), dtype=bool)
-            mask[cut:, :] = True
-            mask[:, cut:] = True
-            tail = float(np.sum(np.abs(self.coeffs[mask]) ** 2))
+        # sum the tail's own elements: total - head cancels for tails near 1e-20
+        tail = float(np.sum(weight[cut:]))
+        if self.dims == 2:
+            tail += float(np.sum(weight[:cut, cut:]))
         return tail / total
 
     def is_well_resolved(self, tol: float = DEFAULT_RESOLUTION_TOL) -> bool:

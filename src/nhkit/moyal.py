@@ -7,7 +7,9 @@ The kernel at phase-space point u = (q, p) acts as
 i.e. parity transported by the group element (a = q, v = -p/m).  It
 factorizes exactly per axis, which every quadrature here exploits.  Each
 axis factor is a displaced parity with the continuum displacement elements
-(`funcspace.phase_shift_block`) whatever the context's `pad`.  Only
+(`funcspace.phase_shift_block`) whatever the context's `pad`, and
+`kernel_axis_matrix` builds any batch of them in one call: both axes of a
+kernel, every factor of a pair or triple trace, or one q-row of the grid.  Only
 `weyl_symbol_axis` and `reconstruct_axis` walk the quadrature grid, one
 q-row of kernels at a time; the smeared traces and the 2D symbol map and its
 inverse are built on them, so no more than one row of kernels is held.  The
@@ -37,13 +39,22 @@ TWO_PI = 2.0 * math.pi
 # kernel construction (per-axis factors)
 # --------------------------------------------------------------------------
 
-def kernel_axis_matrix(q: float, p, m: float, ctx: BasisContext) -> np.ndarray:
+def kernel_axis_matrix(q, p, m: float, ctx: BasisContext) -> np.ndarray:
     """One-axis factor of the kernel, the displaced parity 2 e^{2iqp} [T_{-2p/m} M_{-2mq}]
     diag((-1)^n); the full kernel is the Kronecker product of two of these.
-    An array `p` gives a (..., N, N) batch."""
-    p = np.asarray(p, float)
-    disp = phase_shift_block(ctx.n, ctx.lam, -2.0 * m * q, -2.0 * p / m)
-    return disp * ((2.0 * np.exp(2j * q * p))[..., None, None] * ctx.parity1d)
+    Arrays `q` and `p` broadcast against each other and give a (..., N, N)
+    batch in one `phase_shift_block` call, e.g. both axes of a phase-space
+    point, or one q-row of the grid."""
+    q, p = np.asarray(q, float), np.asarray(p, float)
+    out = phase_shift_block(ctx.n, ctx.lam, -2.0 * m * q, -2.0 * p / m)
+    out *= (2.0 * np.exp(2j * q * p))[..., None, None] * ctx.parity1d
+    return out
+
+
+def _axis_factors(points, m: float, ctx: BasisContext) -> np.ndarray:
+    """Kernel axis factors of phase-space points (q, p), all in one call: [axis, point] -> N x N."""
+    qp = np.array([[q.as_tuple(), p.as_tuple()] for q, p in points]).T  # [axis, q or p, point]
+    return kernel_axis_matrix(qp[:, 0], qp[:, 1], m, ctx)
 
 
 def kernel_apply(q: Vec2, p: Vec2, m: float, psi: HermiteState, ctx: BasisContext) -> HermiteState:
@@ -52,8 +63,7 @@ def kernel_apply(q: Vec2, p: Vec2, m: float, psi: HermiteState, ctx: BasisContex
         raise ValueError("kernel needs m != 0")
     if ctx.dims != 2:
         raise ValueError("kernel acts on 2D states")
-    b1 = kernel_axis_matrix(q.x1, p.x1, m, ctx)
-    b2 = kernel_axis_matrix(q.x2, p.x2, m, ctx)
+    b1, b2 = kernel_axis_matrix([q.x1, q.x2], [p.x1, p.x2], m, ctx)
     out = replace(psi, coeffs=b1 @ psi.coeffs @ b2.T)
     _warn_resolution(out, "kernel_apply output")
     return out
@@ -61,8 +71,7 @@ def kernel_apply(q: Vec2, p: Vec2, m: float, psi: HermiteState, ctx: BasisContex
 
 def kernel_matrix(q: Vec2, p: Vec2, m: float, ctx: BasisContext) -> np.ndarray:
     """Full kernel matrix over the flattened 2D basis (for small studies)."""
-    b1 = kernel_axis_matrix(q.x1, p.x1, m, ctx)
-    b2 = kernel_axis_matrix(q.x2, p.x2, m, ctx)
+    b1, b2 = kernel_axis_matrix([q.x1, q.x2], [p.x1, p.x2], m, ctx)
     return np.kron(b1, b2)
 
 
@@ -125,15 +134,8 @@ def isotropy_commutator_residual(
 
 def pair_trace(u: tuple[Vec2, Vec2], u2: tuple[Vec2, Vec2], m: float, ctx: BasisContext) -> complex:
     """Tr[Omega(u) Omega(u')] in the truncated basis (factorizes per axis)."""
-    q, p = u
-    q2, p2 = u2
-    t1 = np.sum(
-        kernel_axis_matrix(q.x1, p.x1, m, ctx).T * kernel_axis_matrix(q2.x1, p2.x1, m, ctx)
-    )
-    t2 = np.sum(
-        kernel_axis_matrix(q.x2, p.x2, m, ctx).T * kernel_axis_matrix(q2.x2, p2.x2, m, ctx)
-    )
-    return complex(t1 * t2)
+    (k1, k2), (k3, k4) = _axis_factors((u, u2), m, ctx)
+    return complex(np.sum(k1.T * k2) * np.sum(k3.T * k4))
 
 
 def _trace_window(n: int) -> np.ndarray:
@@ -172,15 +174,9 @@ def tri_kernel(
     |num - closed| / 16 falls from 2.6e-3 at N = 24 to 6.7e-4 at N = 32 and
     4.7e-7 at N = 96.
     """
-    w = _trace_window(ctx.n)
-    out = 1.0 + 0.0j
-    for ax in (0, 1):
-        pick = (lambda v: v.x1) if ax == 0 else (lambda v: v.x2)
-        m1 = kernel_axis_matrix(pick(u[0]), pick(u[1]), m, ctx) * w
-        m2 = kernel_axis_matrix(pick(u2[0]), pick(u2[1]), m, ctx) * w
-        m3 = kernel_axis_matrix(pick(u3[0]), pick(u3[1]), m, ctx) * w
-        out *= np.trace(m1 @ m2 @ m3)
-    return complex(out)
+    k = _axis_factors((u, u2, u3), m, ctx) * _trace_window(ctx.n)
+    t1, t2 = np.trace(k[:, 0] @ k[:, 1] @ k[:, 2], axis1=-2, axis2=-1)
+    return complex(t1 * t2)
 
 
 def tri_kernel_closed_form(u, u2, u3) -> complex:
@@ -212,15 +208,11 @@ def smeared_tri_kernel(
     The smeared operator is trace class, so this weak form converges.  Per
     axis, Tr[K1 K2 Omega(u'')] is the symbol of K1 K2, so both axes take one
     grid walk."""
-    fronts, closed = [], []
-    for ax in (0, 1):
-        pick = (lambda v: v.x1) if ax == 0 else (lambda v: v.x2)
-        q1, p1, q2, p2 = (pick(v) for v in (*u, *u2))
-        fronts.append(kernel_axis_matrix(q1, p1, m, ctx) @ kernel_axis_matrix(q2, p2, m, ctx))
-        phase = q1 * (p2 - quad.p) + q2 * (quad.p - p1) + quad.q[:, None] * (p1 - p2)
-        closed.append(4.0 * np.exp(-2j * phase))
-    num = _smear(weyl_symbol_axis(np.stack(fronts), quad, m, ctx), sigma, quad)
-    return complex(np.prod(num)), complex(np.prod(_smear(np.stack(closed), sigma, quad)))
+    k = _axis_factors((u, u2), m, ctx)
+    q1, p1, q2, p2 = (np.array(v.as_tuple())[:, None, None] for v in (*u, *u2))  # [axis, q, p]
+    phase = q1 * (p2 - quad.p) + q2 * (quad.p - p1) + quad.q[:, None] * (p1 - p2)
+    num = _smear(weyl_symbol_axis(k[:, 0] @ k[:, 1], quad, m, ctx), sigma, quad)
+    return complex(np.prod(num)), complex(np.prod(_smear(4.0 * np.exp(-2j * phase), sigma, quad)))
 
 
 # --------------------------------------------------------------------------

@@ -223,6 +223,11 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text('{"inputs": {"box": "abc"}}')
     assert _cli("moyal-check", "--scenario", str(bad)).returncode == 2
     assert _cli("classify", "--point", '{"f":"x","m":0,"h":1,"p":[0,0],"k":[0,0],"j":0}').returncode == 2
+    # the basis scale sqrt(|m| tau) must be positive, and the probe modes 0..kmax must fit in N
+    assert _cli("moyal-check", "--tau", "0").returncode == 2
+    assert _cli("moyal-check", "--m", "0").returncode == 2
+    bad.write_text('{"inputs": {"case": "f", "hermite_n": 8, "probe_kmax": 20}}')
+    assert _cli("rep-check", "--scenario", str(bad)).returncode == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"

@@ -229,6 +229,23 @@ def test_displacement_block_matches_laguerre_sum():
         assert np.max(np.abs(batch[i, j] - phase_shift_block(10, 1.3, phases[i, 0], shifts[j]))) <= 1e-14
 
 
+@pytest.mark.parametrize("shape", [(), (2,), (3, 2), (96,)])
+def test_displacement_block_batch_matches_scalar_calls(shape):
+    """At N = 32 every element of a batched call equals the scalar call, out
+    to the displacements of the kernel at the round-trip box corners
+    (q, p = +-5 at m = lam = 1: phase, shift = -+10, |alpha|^2 = 100)."""
+    rng = np.random.default_rng(17)
+    phase, shift = rng.uniform(-10.0, 10.0, (2,) + shape)
+    if shape:
+        flat_phase, flat_shift = phase.reshape(-1), shift.reshape(-1)
+        flat_phase[:2], flat_shift[:2] = (10.0, -10.0), (-10.0, 10.0)
+    batch = phase_shift_block(32, 1.0, phase, shift)
+    assert batch.shape == shape + (32, 32)
+    for idx in np.ndindex(shape):
+        one = phase_shift_block(32, 1.0, float(phase[idx]), float(shift[idx]))
+        assert np.max(np.abs(batch[idx] - one)) <= 1e-14
+
+
 def test_displacement_block_weyl_law_on_low_modes():
     """D(a) D(b) = e^{i Im(a conj b)} D(a + b) on the 16 lowest modes.  The
     product sums over all N columns of D(a); the column recurrence
@@ -286,6 +303,11 @@ def test_parity_and_resolution_tools(rng):
     bad[15, 15] = 1.0
     spiky = HermiteState(dims=2, n=16, lam=1.0, coeffs=bad)
     assert spiky.tail_fraction() == 1.0
+    # tails far below the head are summed, not taken as total - head (which gives 0 here)
+    faint = np.zeros((16, 16), complex)
+    faint[0, 0], faint[0, 13], faint[13, 2] = 1.0, 1e-10, 1e-10j
+    frac = HermiteState(dims=2, n=16, lam=1.0, coeffs=faint).tail_fraction()
+    assert abs(frac - 2e-20) <= 1e-12 * 2e-20
     with pytest.warns(ResolutionWarning):
         exp_apply(
             QuadraticOperator(dims=2, quad_yy=np.eye(2), quad_dd=-np.eye(2), hermitian_generator=True),

@@ -9,6 +9,7 @@ from nhkit.funcspace import ground_state, ladder_build, probe_state
 from nhkit.group import GroupElement, Variant, Vec2, compose
 from nhkit.moyal import (
     AxisQuadrature,
+    _trace_window,
     covariance_residual,
     group_element_for,
     isotropy_commutator_residual,
@@ -98,6 +99,33 @@ def test_kernel_axis_matrix_at_box_corners_matches_quadrature(ctx):
         right = np.array([math.sqrt(lam) * hermite_fn(k, lam * (-y - 2.0 * p / M)) for k in range(n)])
         oracle = (left * (2.0 * np.exp(-2j * q * (M * y + p)) * h)) @ right.T
         assert np.max(np.abs(kernel_axis_matrix(q, p, M, ctx) - oracle)) <= 1e-12
+
+
+def _axis_factor(u, ax, ctx):
+    """Scalar `kernel_axis_matrix` call for axis `ax` of the point u = (q, p)."""
+    pick = (lambda v: v.x1) if ax == 0 else (lambda v: v.x2)
+    return kernel_axis_matrix(pick(u[0]), pick(u[1]), M, ctx)
+
+
+def test_kernel_apply_matches_scalar_axis_factors(ctx, rng):
+    psi = probe_state(ctx, rng, kmax=4)
+    for _ in range(4):
+        u = (Vec2(*rng.uniform(-5, 5, 2)), Vec2(*rng.uniform(-5, 5, 2)))
+        ref = _axis_factor(u, 0, ctx) @ psi.coeffs @ _axis_factor(u, 1, ctx).T
+        assert np.max(np.abs(kernel_apply(u[0], u[1], M, psi, ctx).coeffs - ref)) <= 1e-14
+
+
+def test_pair_and_tri_traces_match_scalar_axis_factors(ctx, rng):
+    w = _trace_window(ctx.n)
+    for _ in range(4):
+        us = [(Vec2(*rng.uniform(-1, 1, 2)), Vec2(*rng.uniform(-1, 1, 2))) for _ in range(3)]
+        pair_ref = tri_ref = 1.0
+        for ax in (0, 1):
+            k1, k2, k3 = (_axis_factor(u, ax, ctx) for u in us)
+            pair_ref *= np.sum(k1.T * k2)
+            tri_ref *= np.trace((k1 * w) @ (k2 * w) @ (k3 * w))
+        assert abs(pair_trace(us[0], us[1], M, ctx) - pair_ref) <= 1e-12
+        assert abs(tri_kernel(*us, M, ctx) - tri_ref) <= 1e-12
 
 
 def test_group_element_for_goldens():
