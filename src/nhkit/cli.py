@@ -7,6 +7,11 @@ flags mirror scenario fields and override file values.  Reports are JSON
 (deterministic for a fixed scenario and seed, modulo the wall-time field);
 evolve and orbit-atlas emit CSV rows.
 
+`SPECS` gives each command its runner, a table of the inputs it reads, each
+with a parse rule and a default, and a table of the tolerances it reads with
+their defaults.  A key the command does not read, or a value its rule
+rejects, is a scenario error; the README's CLI section lists the rules.
+
 Exit codes: 0 all criteria pass, 1 criterion failure (report still written),
 2 scenario/schema violation, 3 internal error.
 """
@@ -60,45 +65,6 @@ from .representations import (
     rep_k,
 )
 
-# the `inputs` keys each command reads
-INPUT_KEYS = {
-    "classify": ("point", "f", "m", "h", "p", "k", "j", "tau"),
-    "orbit-atlas": ("f_values", "m_values", "base"),
-    "evolve": ("m", "tau", "q0", "p0", "C1", "C2", "t_max", "dt"),
-    "algebra-check": ("tau", "contraction_speeds", "rank_samples"),
-    "rep-check": ("case", "tau", "samples", "scale", "grid", "hermite_n", "probe_kmax", "labels"),
-    "moyal-check": (
-        "m", "tau", "hermite_n", "box", "nodes", "samples", "roundtrip_box", "roundtrip_nodes",
-    ),
-    "group-check": ("samples", "taus"),
-}
-# the `tolerances` names each command reads
-TOLERANCE_KEYS = {
-    "classify": ("classify",),
-    "orbit-atlas": ("classify",),
-    "evolve": ("conservation",),
-    "algebra-check": ("jacobi", "slope"),
-    "rep-check": ("unitarity", "homomorphism", "generator"),
-    "moyal-check": ("covariance", "isotropy", "trikernel", "trace_smeared", "roundtrip"),
-    "group-check": ("associativity", "identity", "inverse", "action", "projection"),
-}
-# count inputs with their least value; inputs that must be finite numbers, or lists of them
-COUNT_INPUTS = {
-    "samples": 1, "nodes": 1, "roundtrip_nodes": 1, "rank_samples": 1, "grid": 1,
-    "hermite_n": 4, "probe_kmax": 0,
-}
-# real inputs with a sign rule, per command: the time scale tau > 0 always, and m != 0 where
-# the command divides by it or builds the basis scale sqrt(|m| tau) from it
-SIGN_INPUTS = {
-    "evolve": {"tau": "positive", "m": "nonzero"},
-    "algebra-check": {"tau": "positive"},
-    "rep-check": {"tau": "positive"},
-    "moyal-check": {"tau": "positive", "m": "nonzero"},
-}
-REAL_INPUTS = ("f", "m", "h", "j", "tau", "C1", "C2", "t_max", "dt", "scale", "box", "roundtrip_box")
-REAL_LIST_INPUTS = ("f_values", "m_values", "contraction_speeds", "taus")
-COMMANDS = tuple(INPUT_KEYS)
-
 
 class ScenarioError(ValueError):
     """Scenario fails schema validation."""
@@ -113,28 +79,74 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _vec(x) -> Vec2:
-    _require(
-        isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_real, x)), f"expected a 2-vector, got {x!r}"
-    )
-    return Vec2(float(x[0]), float(x[1]))
+def _is_reals(x) -> bool:
+    return isinstance(x, list) and len(x) > 0 and all(map(_is_real, x))
 
 
-def _dual_point(d: dict) -> DualPoint:
-    _require(isinstance(d, dict), "dual point must be an object")
-    for key in ("f", "m", "h", "p", "k", "j"):
-        _require(key in d, f"dual point missing {key!r}")
-    for key in ("f", "m", "h", "j", "tau"):
-        _require(_is_real(d.get(key, 1.0)), f"dual point field {key!r} must be a number, got {d.get(key)!r}")
-    return DualPoint(
-        f=float(d["f"]),
-        m=float(d["m"]),
-        h=float(d["h"]),
-        p=_vec(d["p"]),
-        k=_vec(d["k"]),
-        j=float(d["j"]),
-        tau=float(d.get("tau", 1.0)),
-    )
+def _is_positives(x) -> bool:
+    return _is_reals(x) and min(x) > 0
+
+
+def _rule(test, need: str, typed=lambda x: x):
+    """A parse rule: it checks a raw JSON value, named `where` in its error,
+    and returns it typed."""
+    def rule(x, where: str):
+        _require(test(x), f"{where} must be {need}, got {x!r}")
+        return typed(x)
+    return rule
+
+
+def _count(low: int):
+    return _rule(lambda x: type(x) is int and x >= low, f"an integer >= {low}")  # not a bool
+
+
+_real = _rule(_is_real, "a finite number", float)
+_positive = _rule(lambda x: _is_real(x) and x > 0, "a positive number", float)
+_nonzero = _rule(lambda x: _is_real(x) and x != 0, "a nonzero number", float)
+_grid = _rule(lambda x: type(x) is int and x > 0 and x % 8 == 0, "a positive multiple of 8")
+_vec = _rule(
+    lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_real, x)),
+    "a 2-vector of finite numbers",
+    lambda x: Vec2(float(x[0]), float(x[1])),
+)
+# lists come back as given, so reports and CSV rows print their entries as written
+_reals = _rule(_is_reals, "a nonempty list of finite numbers")
+_positives = _rule(_is_positives, "a nonempty list of positive numbers")
+# the contraction slope is taken between the first and the last speed
+_speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1], "positive numbers whose first and last differ")
+_case = _rule(lambda x: str(x).lower() in LABEL_FACTORIES, "a case a..k", lambda x: str(x).lower())
+
+
+REQUIRED = inspect.Parameter.empty  # the default of a field that must be given, as in a signature
+
+
+def _fields(table: dict, given, where: str, inputs: dict | None = None) -> dict:
+    """Every field of `table` ({field: (rule, default)}), typed: the fields of the JSON object
+    `given` through their rule, the others at their default, which when callable is computed
+    from `inputs`, or else from the fields before it."""
+    _require(isinstance(given, dict), f"expected an object of {where}s, got {given!r}")
+    unknown = sorted(set(given) - set(table))
+    _require(not unknown, f"unknown {where}s {unknown}; expected {sorted(table)}")
+    out = {}
+    for key, (rule, default) in table.items():
+        if key in given:
+            out[key] = rule(given[key], f"{where} {key!r}")
+        else:
+            _require(default is not REQUIRED, f"missing {where} {key!r}")
+            out[key] = default(out if inputs is None else inputs) if callable(default) else default
+    return out
+
+
+def _object(table: dict, typed=dict):
+    """The parse rule of a JSON object with the fields of `table`."""
+    return lambda x, where: typed(**_fields(table, x, f"{where} field"))
+
+
+DUAL_POINT = {
+    "f": (_real, REQUIRED), "m": (_real, REQUIRED), "h": (_real, REQUIRED), "p": (_vec, REQUIRED),
+    "k": (_vec, REQUIRED), "j": (_real, REQUIRED), "tau": (_positive, 1.0),
+}
+ATLAS_BASE = {key: DUAL_POINT[key] for key in ("h", "p", "k", "j", "tau")}  # orbit-atlas sweeps f and m
 
 
 def _random_element(rng, tau=1.0, variant=Variant.OSCILLATING, scale=2.0) -> GroupElement:
@@ -147,8 +159,7 @@ def _random_element(rng, tau=1.0, variant=Variant.OSCILLATING, scale=2.0) -> Gro
 # --------------------------------------------------------------------------
 
 def _run_classify(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    xi = _dual_point(inputs.get("point", inputs))
-    cls, inv = classify(xi, tol.get("classify", 1e-8))
+    cls, inv = classify(inputs["point"], tol["classify"])
     metrics = {
         "class": cls.value,
         "dimension": cls.dimension,
@@ -159,15 +170,11 @@ def _run_classify(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[
 
 
 def _run_orbit_atlas(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    f_vals = inputs.get("f_values", [-1.0, 0.0, 1.0, 2.0])
-    m_vals = inputs.get("m_values", [-1.0, 0.0, 1.0])
-    base = inputs.get("base", {"h": 0.3, "p": [1.0, 0.0], "k": [0.0, 0.5], "j": 0.2, "tau": 1.0})
     rows = ["f,m,C1,C2,class,dim"]
     counts: dict[str, int] = {}
-    for f in f_vals:
-        for m in m_vals:
-            xi = _dual_point({**base, "f": f, "m": m})
-            cls, inv = classify(xi, tol.get("classify", 1e-8))
+    for f in inputs["f_values"]:
+        for m in inputs["m_values"]:
+            cls, inv = classify(DualPoint(f=f, m=m, **inputs["base"]), tol["classify"])
             d = inv.as_dict()
             c1 = d.get("C1", "")
             c2 = d.get("C2", "")
@@ -177,16 +184,10 @@ def _run_orbit_atlas(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
 
 
 def _run_evolve(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    m = float(inputs.get("m", 1.0))
-    tau = float(inputs.get("tau", 1.0))
-    q0 = _vec(inputs.get("q0", [0.0, 0.0]))
-    p0 = _vec(inputs.get("p0", [1.0, 0.0]))
-    c1 = float(inputs.get("C1", 0.0))
-    c2 = float(inputs.get("C2", 0.0))
-    t_max = float(inputs.get("t_max", 2.0 * math.pi * tau))
-    dt = float(inputs.get("dt", 1e-3))
-    _require(dt > 0 and t_max > 0, "t_max and dt must be positive")
-    x0 = PhasePoint(q=q0, p=p0, m=m, tau=tau, C1=c1, C2=c2)
+    t_max, dt = inputs["t_max"], inputs["dt"]
+    x0 = PhasePoint(
+        q=inputs["q0"], p=inputs["p0"], m=inputs["m"], tau=inputs["tau"], C1=inputs["C1"], C2=inputs["C2"]
+    )
     rows = ["t,q1,q2,p1,p2,h,j"]
     h0, j0 = hamiltonian(x0), angular_momentum(x0)
     h_drift = j_drift = 0.0
@@ -200,21 +201,19 @@ def _run_evolve(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[st
         h_drift = max(h_drift, abs(h - h0))
         j_drift = max(j_drift, abs(j - j0))
         rows.append(f"{t},{x.q.x1},{x.q.x2},{x.p.x1},{x.p.x2},{h},{j}")
-    budget = tol.get("conservation", 1e-9)
+    budget = tol["conservation"]
     metrics = {"h_drift": h_drift, "j_drift": j_drift, "rows": len(rows) - 1}
     passes = {"energy_conserved": h_drift <= budget, "angular_momentum_conserved": j_drift <= budget}
     return metrics, passes, rows
 
 
 def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    samples = int(inputs.get("samples", 2000))
-    taus = inputs.get("taus", [0.5, 1.0, 2.0])
     rng = np.random.default_rng(seed)
     assoc = ident = inv_res = action = blind = proj = 0.0
     for variant in (Variant.OSCILLATING, Variant.EXPANDING):
-        for tau in taus:
+        for tau in inputs["taus"]:
             e = GroupElement.identity(variant, tau)
-            for _ in range(samples):
+            for _ in range(inputs["samples"]):
                 g1 = _random_element(rng, tau, variant)
                 g2 = _random_element(rng, tau, variant)
                 g3 = _random_element(rng, tau, variant)
@@ -252,20 +251,14 @@ def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
         "extension_blindness_max": blind,
         "projection_max": proj,
     }
-    passes = {
-        "associativity": assoc <= tol.get("associativity", 1e-10),
-        "identity": ident <= tol.get("identity", 1e-10),
-        "inverse": inv_res <= tol.get("inverse", 1e-10),
-        "action": action <= tol.get("action", 1e-11),
-        "extension_blindness": blind == 0.0,
-        "projection": proj <= tol.get("projection", 1e-12),
-    }
+    passes = {name: metrics[f"{name}_max"] <= budget for name, budget in tol.items()}
+    passes["extension_blindness"] = blind == 0.0
     return metrics, passes, []
 
 
 def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
     rng = np.random.default_rng(seed)
-    tau = float(inputs.get("tau", 1.0))
+    tau = inputs["tau"]
     jacobi = {}
     tables = {
         "NH_minus": algebra.build_table("NH_minus", tau=tau),
@@ -279,7 +272,7 @@ def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, 
     for name, table in tables.items():
         jacobi[name] = algebra.jacobi_residual(table)
     # contraction scaling
-    cs = inputs.get("contraction_speeds", [1e2, 1e3, 1e4])
+    cs = inputs["contraction_speeds"]
     nh = algebra.build_table("NH_minus", tau=tau)
     devs = []
     for c in cs:
@@ -287,12 +280,11 @@ def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, 
         devs.append(algebra.max_table_deviation(contracted, nh))
     slope = (math.log(devs[-1]) - math.log(devs[0])) / (math.log(cs[-1]) - math.log(cs[0]))
     # rank agreement
-    n_pts = int(inputs.get("rank_samples", 200))
     ext = algebra.build_table("NH_minus", extended=True, tau=tau)
     agree = 0
     total = 0
     for cls in OrbitClass:
-        for _ in range(n_pts):
+        for _ in range(inputs["rank_samples"]):
             xi = random_point_in_class(cls, rng, tau)
             rank = algebra.rank(algebra.kirillov_matrix(ext, xi))
             total += 1
@@ -305,9 +297,9 @@ def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, 
         "rank_agreement": agree / total,
     }
     passes = {
-        "jacobi": max(jacobi.values()) <= tol.get("jacobi", 1e-13),
+        "jacobi": max(jacobi.values()) <= tol["jacobi"],
         "contraction_monotone": all(devs[i + 1] < devs[i] for i in range(len(devs) - 1)),
-        "contraction_slope": abs(slope + 2.0) <= tol.get("slope", 0.1),
+        "contraction_slope": abs(slope + 2.0) <= tol["slope"],
         "rank_agreement": agree == total,
     }
     return metrics, passes, []
@@ -319,17 +311,11 @@ def case_labels(case: str, given: dict | None = None, tau: float = 1.0):
     factory = LABEL_FACTORIES[case]
     if given is None:
         return factory(**CANONICAL_LABELS[case], tau=tau)
-    _require(isinstance(given, dict), "labels must be an object")
     params = inspect.signature(factory).parameters
     names = {("kappa" if p == "kappa_vec" else p): p for p in params if p != "tau"}
-    unknown = sorted(set(given) - set(names))
-    _require(not unknown, f"labels for case {case}: unknown fields {unknown}, expected {sorted(names)}")
-    missing = [k for k, p in names.items() if params[p].default is params[p].empty and k not in given]
-    _require(not missing, f"labels for case {case} missing fields {missing}")
-    scalars = [v for k, v in given.items() if k not in ("rho", "kappa")]
-    _require(all(isinstance(v, (int, float)) for v in scalars), f"labels for case {case} must be numbers")
-    kwargs = {names[k]: _vec(v) if k in ("rho", "kappa") else float(v) for k, v in given.items()}
-    return factory(**kwargs, tau=tau)
+    table = {key: (_vec if key in ("rho", "kappa") else _real, params[p].default) for key, p in names.items()}
+    fields = _fields(table, given, f"case {case} label")
+    return factory(**{names[key]: value for key, value in fields.items()}, tau=tau)
 
 
 def _ongrid_element(rng, n_t: int, tau: float, scale: float = 0.5, torus=None) -> GroupElement:
@@ -345,13 +331,8 @@ def _ongrid_element(rng, n_t: int, tau: float, scale: float = 0.5, torus=None) -
 
 
 def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    case = str(inputs.get("case", "f")).lower()
-    _require(case in "abcdefghijk" and len(case) == 1, f"unknown case {case!r}")
-    tau = float(inputs.get("tau", 1.0))
-    samples = int(inputs.get("samples", 50))
-    scale = float(inputs.get("scale", 0.5))
-    grid = int(inputs.get("grid", 16))
-    labels = case_labels(case, inputs.get("labels"), tau)
+    case, tau, samples, scale, grid = (inputs[key] for key in ("case", "tau", "samples", "scale", "grid"))
+    labels = case_labels(case, inputs["labels"], tau)
     rng = np.random.default_rng(seed)
     hom_max = unit_max = 0.0
     n_herm = resolution = None  # no basis, so no truncation, for cases h..k
@@ -367,13 +348,10 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
                 hom_max = max(hom_max, abs(val))
                 unit_max = max(unit_max, abs(abs(rep_k(labels, g1)) - 1.0))
         else:
-            sizes = {key: int(inputs[key]) for key in ("hermite_n", "probe_kmax") if key in inputs}
+            n, kmax = inputs["hermite_n"], inputs["probe_kmax"]
             if case in HERMITE_N:  # the probe state's modes 0..kmax must fit in the basis
-                n, kmax = sizes.get("hermite_n", HERMITE_N[case]), sizes.get("probe_kmax", PROBE_KMAX[case])
                 _require(kmax < n, f"probe_kmax {kmax} must be below hermite_n {n} for case {case}")
-            ctx, rep, state = case_setup(
-                case, labels, rng, n=sizes.get("hermite_n"), kmax=sizes.get("probe_kmax"), grid=grid
-            )
+            ctx, rep, state = case_setup(case, labels, rng, n=n, kmax=kmax, grid=grid)
             if ctx is not None:
                 n_herm, resolution = ctx.n, 0.0
             if case in ("b", "c", "h", "i", "j"):
@@ -402,31 +380,26 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
         "resolution_metrics": {"max_tail_fraction": resolution},
     }
     passes = {
-        "unitarity": unit_max <= tol.get("unitarity", 1e-10),
-        "homomorphism": hom_max <= tol.get("homomorphism", 1e-6 if case in "fhijk" else 1e-3),
+        "unitarity": unit_max <= tol["unitarity"],
+        "homomorphism": hom_max <= tol["homomorphism"],
     }
     if gen_residuals:
-        passes["generators"] = max(gen_residuals.values()) <= tol.get("generator", 1e-5)
+        passes["generators"] = max(gen_residuals.values()) <= tol["generator"]
     return metrics, passes, []
 
 
 def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    m = float(inputs.get("m", 1.0))
-    tau = float(inputs.get("tau", 1.0))
-    n_herm = int(inputs.get("hermite_n", 32))
-    box = float(inputs.get("box", 3.0))
-    nodes = int(inputs.get("nodes", 96))
-    samples = int(inputs.get("samples", 10))
+    m, tau, n_herm, box, nodes = (inputs[key] for key in ("m", "tau", "hermite_n", "box", "nodes"))
     rng = np.random.default_rng(seed)
     lam = math.sqrt(abs(m) * tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ctx = ladder_build(n_herm, lam, dims=2)
-        labels = labels_case_f(m=m, C1=1.0, C2=0.3, tau=tau)
+        labels = labels_case_f(**{**CANONICAL_LABELS["f"], "m": m}, tau=tau)
         rep = InducedRep2D(labels, ctx)
         psi = probe_state(ctx, rng, kmax=3)
         cov = iso = 0.0
-        for _ in range(samples):
+        for _ in range(inputs["samples"]):
             q = Vec2(*rng.uniform(-0.5, 0.5, 2))
             p = Vec2(*rng.uniform(-0.5, 0.5, 2))
             cov = max(cov, covariance_residual(q, p, labels, psi, ctx, rep=rep))
@@ -436,7 +409,7 @@ def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
             )
             iso = max(iso, isotropy_commutator_residual(gamma, labels, psi, ctx, rep=rep))
         tri_err = 0.0
-        for _ in range(samples):
+        for _ in range(inputs["samples"]):
             us = [(Vec2(*rng.uniform(-1, 1, 2)), Vec2(*rng.uniform(-1, 1, 2))) for _ in range(3)]
             num = tri_kernel(us[0], us[1], us[2], m, ctx)
             clo = tri_kernel_closed_form(*us)
@@ -445,7 +418,7 @@ def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
         smeared = smeared_pair_trace(1.0, quad, m, ctx)
         trace_err = abs(smeared - 1.0)
         # round trip with a product rank-1 operator on low modes
-        quad_r = AxisQuadrature.build(float(inputs.get("roundtrip_box", 5.0)), int(inputs.get("roundtrip_nodes", 96)))
+        quad_r = AxisQuadrature.build(inputs["roundtrip_box"], inputs["roundtrip_nodes"])
         phis = []
         for _ in range(2):
             c = np.zeros(n_herm, complex)
@@ -464,67 +437,84 @@ def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
         "quadrature": {"box": box, "nodes": nodes},
     }
     passes = {
-        "covariance": cov <= tol.get("covariance", 1e-6),
-        "isotropy": iso <= tol.get("isotropy", 1e-4),
-        "trikernel": tri_err <= tol.get("trikernel", 1e-2),
-        "trace_smeared": trace_err <= tol.get("trace_smeared", 0.05),
-        "roundtrip": rt_err <= tol.get("roundtrip", 0.05),
+        "covariance": cov <= tol["covariance"],
+        "isotropy": iso <= tol["isotropy"],
+        "trikernel": tri_err <= tol["trikernel"],
+        "trace_smeared": trace_err <= tol["trace_smeared"],
+        "roundtrip": rt_err <= tol["roundtrip"],
     }
     return metrics, passes, []
 
 
-_RUNNERS = {
-    "classify": _run_classify,
-    "orbit-atlas": _run_orbit_atlas,
-    "evolve": _run_evolve,
-    "algebra-check": _run_algebra_check,
-    "rep-check": _run_rep_check,
-    "moyal-check": _run_moyal_check,
-    "group-check": _run_group_check,
+# per command: its runner, the inputs it reads ({input: (parse rule, default)}) and the
+# tolerances it reads ({tolerance: default}); the runner gets both typed and complete, and a
+# callable default is computed from the inputs
+SPECS = {
+    "classify": (_run_classify, {"point": (_object(DUAL_POINT, DualPoint), REQUIRED)}, {"classify": 1e-8}),
+    "orbit-atlas": (_run_orbit_atlas, {
+        "f_values": (_reals, [-1.0, 0.0, 1.0, 2.0]), "m_values": (_reals, [-1.0, 0.0, 1.0]),
+        "base": (_object(ATLAS_BASE), {"h": 0.3, "p": Vec2(1.0, 0.0), "k": Vec2(0.0, 0.5), "j": 0.2, "tau": 1.0}),
+    }, {"classify": 1e-8}),
+    "evolve": (_run_evolve, {
+        "m": (_nonzero, 1.0), "tau": (_positive, 1.0), "C1": (_real, 0.0), "C2": (_real, 0.0),
+        "q0": (_vec, Vec2(0.0, 0.0)), "p0": (_vec, Vec2(1.0, 0.0)), "dt": (_positive, 1e-3),
+        "t_max": (_positive, lambda inputs: 2.0 * math.pi * inputs["tau"]),  # one period
+    }, {"conservation": 1e-9}),
+    "algebra-check": (_run_algebra_check, {
+        "tau": (_positive, 1.0), "contraction_speeds": (_speeds, [1e2, 1e3, 1e4]),
+        "rank_samples": (_count(1), 200),
+    }, {"jacobi": 1e-13, "slope": 0.1}),
+    "rep-check": (_run_rep_check, {
+        "case": (_case, "f"), "tau": (_positive, 1.0), "samples": (_count(1), 50), "scale": (_real, 0.5),
+        "grid": (_grid, 16),
+        # the case's defaults, None for cases h..k, which have no Hermite basis
+        "hermite_n": (_count(4), lambda inputs: HERMITE_N.get(inputs["case"])),
+        "probe_kmax": (_count(0), lambda inputs: PROBE_KMAX.get(inputs["case"])),
+        "labels": (lambda x, where: x, None),  # checked against the case's factory by case_labels
+    }, {
+        "unitarity": 1e-10, "generator": 1e-5,
+        "homomorphism": lambda inputs: 1e-6 if inputs["case"] in "fhijk" else 1e-3,
+    }),
+    "moyal-check": (_run_moyal_check, {
+        "m": (_nonzero, 1.0), "tau": (_positive, 1.0),  # the basis scale sqrt(|m| tau) must be positive
+        "hermite_n": (_count(4), 32), "samples": (_count(1), 10), "box": (_real, 3.0), "nodes": (_count(1), 96),
+        "roundtrip_box": (_real, 5.0), "roundtrip_nodes": (_count(1), 96),
+    }, {"covariance": 1e-6, "isotropy": 1e-4, "trikernel": 1e-2, "trace_smeared": 0.05, "roundtrip": 0.05}),
+    "group-check": (_run_group_check, {"samples": (_count(1), 2000), "taus": (_positives, [0.5, 1.0, 2.0])}, {
+        "associativity": 1e-10, "identity": 1e-10, "inverse": 1e-10, "action": 1e-11, "projection": 1e-12,
+    }),
 }
+COMMANDS = tuple(SPECS)
+
+
+def _parse_scenario(scenario) -> tuple[dict, dict, dict]:
+    """The scenario's fields as given, and its inputs and tolerances typed over their defaults."""
+    _require(isinstance(scenario, dict), "scenario must be a JSON object")
+    _require("command" in scenario, "scenario missing 'command'")
+    command = scenario["command"]
+    _require(command in SPECS, f"unknown command {command!r}")
+    sc = {"command": command, "seed": scenario.get("seed", 0)}
+    _require(isinstance(sc["seed"], int), "'seed' must be an integer")
+    sc.update(tolerances=scenario.get("tolerances", {}), inputs=scenario.get("inputs", {}))
+    _, input_table, tolerance_table = SPECS[command]
+    given = sc["inputs"]
+    if command == "classify" and isinstance(given, dict) and "point" not in given:
+        given = {"point": given}  # the dual point's fields at top level
+    inputs = _fields(input_table, given, f"{command} input")
+    tolerances = {name: (_positive, default) for name, default in tolerance_table.items()}
+    return sc, inputs, _fields(tolerances, sc["tolerances"], f"{command} tolerance", inputs)
 
 
 def validate_scenario(scenario: dict) -> dict:
-    _require(isinstance(scenario, dict), "scenario must be a JSON object")
-    _require("command" in scenario, "scenario missing 'command'")
-    _require(scenario["command"] in COMMANDS, f"unknown command {scenario['command']!r}")
-    seed = scenario.get("seed", 0)
-    _require(isinstance(seed, int), "'seed' must be an integer")
-    tolerances = scenario.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "'tolerances' must be an object")
-    for key, val in tolerances.items():
-        _require(_is_real(val) and val > 0, f"tolerance {key!r} must be positive")
-    read = TOLERANCE_KEYS[scenario["command"]]
-    unknown = sorted(set(tolerances) - set(read))
-    _require(not unknown, f"unknown tolerances {unknown} for {scenario['command']}; expected {sorted(read)}")
-    inputs = scenario.get("inputs", {})
-    _require(isinstance(inputs, dict), "'inputs' must be an object")
-    allowed = INPUT_KEYS[scenario["command"]]
-    if scenario["command"] == "classify" and "point" in inputs:
-        allowed = ("point",)  # a dual point under "point" or at top level, not both
-    unknown = sorted(set(inputs) - set(allowed))
-    _require(not unknown, f"unknown inputs {unknown} for {scenario['command']}; expected {sorted(allowed)}")
-    for key, val in inputs.items():
-        if key in COUNT_INPUTS:
-            low = COUNT_INPUTS[key]
-            ok = isinstance(val, int) and not isinstance(val, bool) and val >= low
-            _require(ok, f"input {key!r} must be an integer >= {low}, got {val!r}")
-        elif key in REAL_INPUTS:
-            _require(_is_real(val), f"input {key!r} must be a finite number, got {val!r}")
-            sign = SIGN_INPUTS.get(scenario["command"], {}).get(key)
-            ok = sign is None or (val > 0 if sign == "positive" else val != 0)
-            _require(ok, f"input {key!r} must be {sign}, got {val!r}")
-        elif key in REAL_LIST_INPUTS:
-            ok = isinstance(val, list) and len(val) > 0 and all(map(_is_real, val))
-            _require(ok, f"input {key!r} must be a nonempty list of finite numbers, got {val!r}")
-    return {"command": scenario["command"], "seed": seed, "tolerances": tolerances, "inputs": inputs}
+    """The scenario's fields as given, once every input and tolerance passes its rule."""
+    return _parse_scenario(scenario)[0]
 
 
 def run(scenario: dict) -> dict:
     """Execute a scenario and return the Report dict."""
-    sc = validate_scenario(scenario)
+    sc, inputs, tol = _parse_scenario(scenario)
     start = time.perf_counter()
-    metrics, passes, rows = _RUNNERS[sc["command"]](sc["inputs"], sc["tolerances"], sc["seed"])
+    metrics, passes, rows = SPECS[sc["command"]][0](inputs, tol, sc["seed"])
     report = {
         "scenario": sc,
         "metrics": metrics,
@@ -539,24 +529,19 @@ def run(scenario: dict) -> dict:
     return report
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def report_json(report: dict, drop_timing: bool = False) -> str:
-    out = _jsonable(report)
+    out = {key: value for key, value in report.items() if key != "csv"}
     if drop_timing:
-        out.get("metadata", {}).pop("wall_time_s", None)
-    out.pop("csv", None)
-    return json.dumps(out, indent=2, sort_keys=True)
+        out["metadata"] = {key: value for key, value in out["metadata"].items() if key != "wall_time_s"}
+    # numpy scalars, such as the np.bool_ of a budget comparison, are written as their Python value
+    return json.dumps(out, indent=2, sort_keys=True, default=lambda obj: obj.item())
+
+
+# the flags that set one input each, with their argparse type ("JSON" for a JSON value)
+INPUT_FLAGS = {
+    "tau": float, "hermite_n": int, "case": str, "labels": "JSON", "samples": int,
+    "m": float, "box": float, "nodes": int, "point": "JSON",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,18 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", help="scenario JSON file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--hermite-n", type=int, default=None)
     parser.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE")
     parser.add_argument("--out", help="write the report JSON here (default stdout)")
     parser.add_argument("--csv-out", help="write CSV rows here (evolve, orbit-atlas)")
-    parser.add_argument("--case", default=None, help="representation case a..k (rep-check)")
-    parser.add_argument("--labels", default=None, help="labels JSON (rep-check)")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--m", type=float, default=None, help="mass label (moyal-check, evolve)")
-    parser.add_argument("--box", type=float, default=None, help="quadrature box (moyal-check)")
-    parser.add_argument("--nodes", type=int, default=None, help="quadrature nodes (moyal-check)")
-    parser.add_argument("--point", default=None, help="dual point JSON (classify)")
+    for name, kind in INPUT_FLAGS.items():
+        readers = ", ".join(command for command, (_, inputs, _) in SPECS.items() if name in inputs)
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=str if kind == "JSON" else kind, help=f"input {name} ({readers})"
+        )
     return parser
 
 
@@ -591,22 +572,20 @@ def scenario_from_args(args) -> dict:
     if args.scenario:
         with open(args.scenario) as fh:
             loaded = _parse_json(fh.read(), "scenario file")
-        if not isinstance(loaded, dict):
-            raise ScenarioError("scenario file must hold a JSON object")
+        _require(isinstance(loaded, dict), "scenario file must hold a JSON object")
         scenario.update(loaded)
         scenario["command"] = args.command
     inputs = scenario.setdefault("inputs", {})
     if args.seed is not None:
         scenario["seed"] = args.seed
-    for name in ("tau", "hermite_n", "case", "samples", "m", "box", "nodes", "labels", "point"):
+    for name, kind in INPUT_FLAGS.items():
         value = getattr(args, name)
         if value is not None:
-            inputs[name] = _parse_json(value, f"--{name}") if name in ("labels", "point") else value
+            inputs[name] = _parse_json(value, f"--{name}") if kind == "JSON" else value
     if args.tol:
         tols = scenario.setdefault("tolerances", {})
         for item in args.tol:
-            if "=" not in item:
-                raise ScenarioError(f"--tol expects NAME=VALUE, got {item!r}")
+            _require("=" in item, f"--tol expects NAME=VALUE, got {item!r}")
             name, val = item.split("=", 1)
             try:
                 tols[name] = float(val)

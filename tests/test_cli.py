@@ -166,6 +166,26 @@ def test_validate_scenario_rejects_unknown_inputs():
         validate_scenario({"command": "algebra-check", "inputs": {"rank_samples": 0}})
     with pytest.raises(ScenarioError):
         validate_scenario({"command": "group-check", "inputs": {"taus": ["a"]}})
+    # tau is positive inside lists and dual points too, a base is an object, the contraction
+    # slope needs two positive speeds with first != last, and rep-check's grid is a multiple of 8
+    dual = {"f": 0, "m": 1, "h": 0, "p": [1, 0], "k": [0, 0], "j": 2, "tau": 0}
+    base = {"h": 0.3, "p": [1, 0], "k": [0, 0.5], "j": 0.2, "tau": 0}
+    for command, inputs in (
+        ("group-check", {"taus": [0]}),
+        ("classify", {"point": dual}),
+        ("classify", dual),
+        ("orbit-atlas", {"base": base}),
+        ("orbit-atlas", {"base": 3}),
+        ("algebra-check", {"contraction_speeds": [100]}),
+        ("algebra-check", {"contraction_speeds": [100, 100]}),
+        ("algebra-check", {"contraction_speeds": [-1, 10]}),
+        ("rep-check", {"case": "h", "grid": 4}),
+        ("rep-check", {"case": "h", "grid": 12}),
+        ("rep-check", {"case": "b", "grid": 4}),
+        ("rep-check", {"case": "b", "grid": 12}),
+    ):
+        with pytest.raises(ScenarioError):
+            validate_scenario({"command": command, "inputs": inputs})
     # a tolerance name the command does not read
     with pytest.raises(ScenarioError):
         validate_scenario({"command": "group-check", "tolerances": {"assoc1ativity": 1e-30}})
@@ -228,6 +248,16 @@ def test_cli_exit_codes(tmp_path):
     assert _cli("moyal-check", "--m", "0").returncode == 2
     bad.write_text('{"inputs": {"case": "f", "hermite_n": 8, "probe_kmax": 20}}')
     assert _cli("rep-check", "--scenario", str(bad)).returncode == 2
+    # tau inside a list or a dual point, a base that is not an object, and labels that are not
+    # finite numbers (a NaN residual would pass every check, since max() drops it)
+    bad.write_text('{"inputs": {"taus": [0]}}')
+    assert _cli("group-check", "--scenario", str(bad), "--samples", "2").returncode == 2
+    assert _cli("classify", "--point", '{"f":0,"m":1,"h":0,"p":[1,0],"k":[0,0],"j":2,"tau":0}').returncode == 2
+    bad.write_text('{"inputs": {"base": 3}}')
+    assert _cli("orbit-atlas", "--scenario", str(bad)).returncode == 2
+    assert _cli("rep-check", "--case", "k", "--labels", '{"h": NaN, "j": 1}', "--samples", "2").returncode == 2
+    assert _cli("rep-check", "--case", "f", "--labels", '{"m": Infinity, "C1": 1, "C2": 0}').returncode == 2
+    assert _cli("rep-check", "--case", "k", "--labels", '{"h": true, "j": 1}', "--samples", "2").returncode == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"
