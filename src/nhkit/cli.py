@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, algebra
 from .coadjoint import DualPoint, OrbitClass, classify, random_point_in_class
 from .dynamics import PhasePoint, angular_momentum, evolve, hamiltonian
-from .funcspace import ladder_build, probe_state
+from .funcspace import ResolutionWarning, ladder_build, probe_state
 from .group import (
     GroupElement,
     Variant,
@@ -339,7 +339,7 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
     gen_residuals: dict[str, float] = {}
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", ResolutionWarning)
         if case == "k":
             for _ in range(samples):
                 g1 = _random_element(rng, tau, scale=2.0)
@@ -393,7 +393,7 @@ def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
     rng = np.random.default_rng(seed)
     lam = math.sqrt(abs(m) * tau)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", ResolutionWarning)
         ctx = ladder_build(n_herm, lam, dims=2)
         labels = labels_case_f(**{**CANONICAL_LABELS["f"], "m": m}, tau=tau)
         rep = InducedRep2D(labels, ctx)
@@ -477,8 +477,8 @@ SPECS = {
     }),
     "moyal-check": (_run_moyal_check, {
         "m": (_nonzero, 1.0), "tau": (_positive, 1.0),  # the basis scale sqrt(|m| tau) must be positive
-        "hermite_n": (_count(4), 32), "samples": (_count(1), 10), "box": (_real, 3.0), "nodes": (_count(1), 96),
-        "roundtrip_box": (_real, 5.0), "roundtrip_nodes": (_count(1), 96),
+        "hermite_n": (_count(4), 32), "samples": (_count(1), 10), "box": (_positive, 3.0), "nodes": (_count(1), 96),
+        "roundtrip_box": (_positive, 5.0), "roundtrip_nodes": (_count(1), 96),
     }, {"covariance": 1e-6, "isotropy": 1e-4, "trikernel": 1e-2, "trace_smeared": 0.05, "roundtrip": 0.05}),
     "group-check": (_run_group_check, {"samples": (_count(1), 2000), "taus": (_positives, [0.5, 1.0, 2.0])}, {
         "associativity": 1e-10, "identity": 1e-10, "inverse": 1e-10, "action": 1e-11, "projection": 1e-12,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .group import GroupElement, Variant, Vec2, compose
+from .group import GroupElement, Variant, Vec2
 
 #: The primed coadjoint formulas compose as a left action,
 #: coad(compose(g1, g2), xi) == coad(g1, coad(g2, xi)); this constant records
@@ -295,11 +295,3 @@ def random_point_in_class(
     if cls is OrbitClass.K:
         return DualPoint(0.0, 0.0, h, zero, zero, j, tau)
     raise ValueError(f"unknown class {cls}")
-
-
-def transport(g_list: list[GroupElement], xi: DualPoint) -> DualPoint:
-    """Apply coad for a product of elements, left to right."""
-    acc = None
-    for g in g_list:
-        acc = g if acc is None else compose(acc, g)
-    return coad(acc, xi) if acc is not None else xi

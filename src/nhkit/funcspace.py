@@ -137,7 +137,11 @@ def ladder_build(n: int, lam: float, dims: int = 2, pad: int | None = None) -> B
 
 @dataclass(frozen=True)
 class HermiteState:
-    """Coefficient vector over the truncated Hermite basis."""
+    """Coefficients over the truncated Hermite basis: one state of shape (N,)
+    in 1D or (N, N) in 2D, or a stack of them with leading axes, such as the
+    nodes of a grid carrier.  `norm`, `normalized` and `tail_fraction` take
+    the whole stack as one state; `exp_apply` and `displacement_apply` act
+    on every state of it."""
 
     dims: int
     n: int
@@ -145,9 +149,9 @@ class HermiteState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        expected = (self.n,) if self.dims == 1 else (self.n, self.n)
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coefficients must have shape {expected}")
+        expected = (self.n,) * self.dims
+        if self.coeffs.shape[self.coeffs.ndim - self.dims :] != expected:
+            raise ValueError(f"coefficients must have shape (..., {', '.join(map(str, expected))})")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -170,10 +174,9 @@ class HermiteState:
         if total == 0.0:
             return 0.0
         # sum the tail's own elements: total - head cancels for tails near 1e-20
-        tail = float(np.sum(weight[cut:]))
-        if self.dims == 2:
-            tail += float(np.sum(weight[:cut, cut:]))
-        return tail / total
+        if self.dims == 1:
+            return float(np.sum(weight[..., cut:])) / total
+        return (float(np.sum(weight[..., cut:, :])) + float(np.sum(weight[..., :cut, cut:]))) / total
 
     def is_well_resolved(self, tol: float = DEFAULT_RESOLUTION_TOL) -> bool:
         return self.tail_fraction() <= tol
@@ -186,8 +189,8 @@ class HermiteState:
                 "dims": self.dims,
                 "N": self.n,
                 "lambda": self.lam,
-                "re": np.real(self.coeffs).ravel().tolist(),
-                "im": np.imag(self.coeffs).ravel().tolist(),
+                "re": np.real(self.coeffs).tolist(),
+                "im": np.imag(self.coeffs).tolist(),
             }
         )
 
@@ -196,10 +199,8 @@ class HermiteState:
         import json
 
         d = json.loads(text)
-        dims, n = int(d["dims"]), int(d["N"])
         arr = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-        shape = (n,) if dims == 1 else (n, n)
-        return HermiteState(dims=dims, n=n, lam=float(d["lambda"]), coeffs=arr.reshape(shape))
+        return HermiteState(dims=int(d["dims"]), n=int(d["N"]), lam=float(d["lambda"]), coeffs=arr)
 
 
 def ground_state(ctx: BasisContext) -> HermiteState:
@@ -462,7 +463,8 @@ def _warn_resolution(state: HermiteState, where: str, tol: float = DEFAULT_RESOL
 def exp_apply(
     q: QuadraticOperator, t: float, psi: HermiteState, ctx: BasisContext
 ) -> HermiteState:
-    """psi -> exp(i t M) psi with M the assembled matrix of q.
+    """psi -> exp(i t M) psi with M the assembled matrix of q, on every state
+    of a stack.
 
     Requires the hermitian-generator flag; the exponential is exactly unitary
     because it is evaluated through the eigendecomposition of M, one exact
@@ -471,16 +473,18 @@ def exp_apply(
     if not q.hermitian_generator:
         raise ValueError("exp_apply requires an operator flagged hermitian-generator")
     _warn_resolution(psi, "exp_apply input")
-    vec = psi.coeffs.reshape(-1)
+    stack = psi.coeffs.shape[: psi.coeffs.ndim - psi.dims]
+    vec = psi.coeffs.reshape(stack + (-1,))
     out = np.empty(vec.shape, dtype=complex)
     for idx, w, v, vh in _exp_factors(q, ctx):  # batched over each group's sectors
-        x = np.exp(1j * t * w) * (vh @ vec[idx][..., None])[..., 0]
-        out[idx] = (v @ x[..., None])[..., 0]
+        x = np.exp(1j * t * w) * (vh @ vec[..., idx][..., None])[..., 0]
+        out[..., idx] = (v @ x[..., None])[..., 0]
     return replace(psi, coeffs=out.reshape(psi.coeffs.shape))
 
 
 def displacement_apply(phase, shift, psi: HermiteState, ctx: BasisContext) -> HermiteState:
-    """Apply e^{i phase . y} followed by translation by `shift`.
+    """Apply e^{i phase . y} followed by translation by `shift` to every state
+    of a stack.
 
     Both factors are exponentials of linear generators, evaluated per axis by
     `BasisContext.phase_shift_1d` (continuum elements unless `pad=0`).
@@ -490,7 +494,7 @@ def displacement_apply(phase, shift, psi: HermiteState, ctx: BasisContext) -> He
     if phase.shape != (ctx.dims,) or shift.shape != (ctx.dims,):
         raise ValueError("phase and shift must have one component per axis")
     if ctx.dims == 1:
-        out = ctx.phase_shift_1d(phase[0], shift[0]) @ psi.coeffs
+        out = (ctx.phase_shift_1d(phase[0], shift[0]) @ psi.coeffs[..., None])[..., 0]
     else:
         b0 = ctx.phase_shift_1d(phase[0], shift[0])
         b1 = ctx.phase_shift_1d(phase[1], shift[1])

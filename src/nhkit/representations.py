@@ -251,12 +251,10 @@ def _operators_2d(labels: RepLabels) -> dict[str, QuadraticOperator]:
     return {"P1": p1, "P2": p2, "K1": k1, "K2": k2}
 
 
-def generators(labels: RepLabels, case: OrbitClass | None = None) -> dict[str, QuadraticOperator]:
+def generators(labels: RepLabels) -> dict[str, QuadraticOperator]:
     """Generator operators P, K, H, J (plus the central M, F) for the
     function-space cases A, F, G."""
-    case = labels.orbit_class if case is None else case
-    if case is not labels.orbit_class:
-        raise StratumError("labels do not match the requested case")
+    case = labels.orbit_class
     if case not in _FUNCTION_CASES_2D:
         raise ValueError(f"generators available for cases A, F, G; got {case}")
     ops = _operators_2d(labels)
@@ -416,66 +414,29 @@ def inner_rep_apply(labels: RepLabels, n: GroupElement, psi: HermiteState, ctx: 
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CircleGridHermite:
-    """Periodic grid over [0, 2pi) carrying one 1D Hermite state per node."""
+class ScalarGrid:
+    """Values at the nodes of a periodic grid: over the circle [0, 2pi) (1D,
+    cases I, J) or the torus [0, 2 pi tau) x [0, 2pi) (2D, case H)."""
 
-    values: np.ndarray  # (n_t, N) complex
-    lam: float
-
-    def __post_init__(self):
-        n_t = self.values.shape[0]
-        if n_t % 8 != 0:
-            raise ValueError("grid size must be divisible by 8")
-
-    @property
-    def n_t(self) -> int:
-        return self.values.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def tail_fraction(self) -> float:
-        """Fraction of the squared norm, over all nodes, carried by the top
-        quarter of modes (the cut of `HermiteState.tail_fraction`)."""
-        n = self.values.shape[1]
-        total = float(np.sum(np.abs(self.values) ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(self.values[:, n - n // 4 :]) ** 2)) / total
-
-
-@dataclass(frozen=True)
-class CircleGridScalar:
-    """Periodic scalar grid over [0, 2pi)."""
-
-    values: np.ndarray  # (n_t,) complex
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape[0] % 8 != 0:
-            raise ValueError("grid size must be divisible by 8")
-
-    @property
-    def n_t(self) -> int:
-        return self.values.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        shape = self.coeffs.shape
+        if len(shape) not in (1, 2) or any(size <= 0 or size % 8 for size in shape):
+            raise ValueError("a scalar grid has 1 or 2 axes, each a positive multiple of 8 nodes")
 
 
-@dataclass(frozen=True)
-class TorusGridScalar:
-    """Scalar grid over the 2-torus [0, 2 pi tau) x [0, 2 pi)."""
+# The benchmark's names for the grid carriers, kept until its next change.
+def CircleGridHermite(values: np.ndarray, lam: float) -> HermiteState:
+    return HermiteState(dims=1, n=values.shape[-1], lam=lam, coeffs=values)
 
-    values: np.ndarray  # (n1, n2) complex
-    tau: float
 
-    def __post_init__(self):
-        n1, n2 = self.values.shape
-        if n1 % 8 != 0 or n2 % 8 != 0:
-            raise ValueError("grid sizes must be divisible by 8")
+def CircleGridScalar(values: np.ndarray) -> ScalarGrid:
+    return ScalarGrid(values)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+
+def TorusGridScalar(values: np.ndarray, tau: float) -> ScalarGrid:
+    return ScalarGrid(values)
 
 
 def _grid_steps(shift: float, spacing: float, what: str) -> int:
@@ -491,15 +452,17 @@ def _grid_steps(shift: float, spacing: float, what: str) -> int:
 # --------------------------------------------------------------------------
 
 class InducedRepBC:
-    """Cases B/C: states are 2pi-periodic grids of 1D Hermite states; the
-    coset variable shifts by b/tau + phi (B) or b/tau - phi (C), which must be
-    an integer number of grid steps."""
+    """Cases B/C: states are stacks of n_t 1D Hermite states, one per node of
+    a 2pi-periodic grid; the coset variable shifts by b/tau + phi (B) or
+    b/tau - phi (C), which must be an integer number of grid steps."""
 
     def __init__(self, labels: RepLabels, ctx: BasisContext, n_t: int = 16):
         if labels.orbit_class not in (OrbitClass.B, OrbitClass.C):
             raise ValueError("InducedRepBC covers cases B and C")
         if ctx.dims != 1:
             raise ValueError("cases B/C need a 1D basis context")
+        if not (n_t > 0 and n_t % 8 == 0):
+            raise ValueError(f"grid size must be a positive multiple of 8, got {n_t}")
         self.labels = labels
         self.ctx = ctx
         self.n_t = n_t
@@ -510,13 +473,15 @@ class InducedRepBC:
     def coset_shift(self, g: GroupElement) -> float:
         return g.b / self.labels.tau + self._sign * g.phi
 
-    def apply(self, g: GroupElement, state: CircleGridHermite) -> CircleGridHermite:
+    def apply(self, g: GroupElement, state: HermiteState) -> HermiteState:
         _require_oscillating(g)
+        if state.dims != 1 or state.coeffs.shape != (self.n_t, self.ctx.n):
+            raise ValueError(f"cases B/C act on a stack of {self.n_t} 1D states of {self.ctx.n} modes")
         tau = self.labels.tau
         sigma = self.coset_shift(g)
         steps = _grid_steps(sigma, self.spacing, f"case {self.labels.orbit_class.value}")
-        shifted = np.roll(state.values, steps, axis=0)
-        out = np.empty_like(state.values)
+        shifted = np.roll(state.coeffs, steps, axis=0)
+        out = np.empty_like(state.coeffs)
         for i in range(self.n_t):
             t_i = i * self.spacing
             eta = compose(
@@ -526,12 +491,12 @@ class InducedRepBC:
             n_eta, b_eta, phi_eta = nk_decompose(eta)
             if abs(b_eta / tau + self._sign * phi_eta) > 1e-9:
                 raise StratumError("induction element left the little group")
-            psi = HermiteState(dims=1, n=self.ctx.n, lam=self.ctx.lam, coeffs=shifted[i])
+            psi = replace(state, coeffs=shifted[i])
             if b_eta != 0.0:
                 psi = exp_apply(self.w_gen, b_eta, psi, self.ctx)
             psi = inner_rep_apply(self.labels, n_eta, psi, self.ctx)
             out[i] = psi.coeffs * cmath.exp(1j * b_eta * self.labels.kappa1)
-        return replace(state, values=out)
+        return replace(state, coeffs=out)
 
 
 # --------------------------------------------------------------------------
@@ -575,23 +540,24 @@ class InducedRepDE:
 # --------------------------------------------------------------------------
 
 class InducedRepHIJ:
-    """Unextended cases on scalar grids: pointwise character phases composed
-    with exact lattice shifts."""
+    """Unextended cases on scalar grids (2D for H, 1D for I and J): pointwise
+    character phases composed with exact lattice shifts."""
 
     def __init__(self, labels: RepLabels):
         if labels.orbit_class not in (OrbitClass.H, OrbitClass.I, OrbitClass.J):
             raise ValueError("InducedRepHIJ covers cases H, I, J")
         self.labels = labels
 
-    def apply(self, g: GroupElement, state):
+    def apply(self, g: GroupElement, state: ScalarGrid) -> ScalarGrid:
         _require_oscillating(g)
         lab = self.labels
         tau = lab.tau
         rho, kap = lab.rho, lab.kappa_vec
+        rank = 2 if lab.orbit_class is OrbitClass.H else 1
+        if state.coeffs.ndim != rank:
+            raise ValueError(f"case {lab.orbit_class.value} acts on a {rank}D grid")
         if lab.orbit_class is OrbitClass.H:
-            if not isinstance(state, TorusGridScalar):
-                raise TypeError("case H acts on TorusGridScalar")
-            n1, n2 = state.values.shape
+            n1, n2 = state.coeffs.shape
             steps1 = _grid_steps(g.b, 2.0 * math.pi * tau / n1, "case H time shift")
             steps2 = _grid_steps(g.phi, 2.0 * math.pi / n2, "case H rotation shift")
             t1 = np.arange(n1) * (2.0 * math.pi * tau / n1)
@@ -611,12 +577,10 @@ class InducedRepHIJ:
             phase = np.exp(
                 1j * (rho.x1 * big_a1 + rho.x2 * big_a2 + kap.x1 * big_b1 + kap.x2 * big_b2)
             )
-            rolled = np.roll(state.values, (steps1, steps2), axis=(0, 1))
-            return replace(state, values=phase * rolled)
+            rolled = np.roll(state.coeffs, (steps1, steps2), axis=(0, 1))
+            return replace(state, coeffs=phase * rolled)
 
-        if not isinstance(state, CircleGridScalar):
-            raise TypeError("cases I/J act on CircleGridScalar")
-        n_t = state.n_t
+        n_t = state.coeffs.shape[0]
         spacing = 2.0 * math.pi / n_t
         if lab.orbit_class is OrbitClass.I:
             sigma = g.b / tau - g.phi
@@ -644,7 +608,7 @@ class InducedRepHIJ:
                 + kap.x2 * (g.v.x2 * ca - g.a.x2 * sa / tau)
             )
         )
-        return replace(state, values=phase * np.roll(state.values, steps))
+        return replace(state, coeffs=phase * np.roll(state.coeffs, steps))
 
 
 def rep_k(labels: RepLabels, g: GroupElement) -> complex:
@@ -695,9 +659,7 @@ def homomorphism_residual(apply, g1, g2, state):
     and the state U(g1)U(g2)s itself."""
     a = apply(g1, apply(g2, state))
     b = apply(compose(g1, g2), state)
-    av = a.coeffs if isinstance(a, HermiteState) else a.values
-    bv = b.coeffs if isinstance(b, HermiteState) else b.values
-    return float(np.linalg.norm(av - bv)), abs(float(np.linalg.norm(av)) - 1.0), a
+    return float(np.linalg.norm(a.coeffs - b.coeffs)), abs(float(np.linalg.norm(a.coeffs)) - 1.0), a
 
 
 # --------------------------------------------------------------------------
@@ -735,9 +697,7 @@ def case_setup(case: str, labels: RepLabels, rng, n: int | None = None, kmax: in
     state is drawn from `rng`; case k is the character `rep_k`."""
     if case in ("h", "i", "j"):
         vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (grid, grid) if case == "h" else grid))
-        vals = vals / np.linalg.norm(vals)
-        state = TorusGridScalar(values=vals, tau=labels.tau) if case == "h" else CircleGridScalar(values=vals)
-        return None, InducedRepHIJ(labels), state
+        return None, InducedRepHIJ(labels), ScalarGrid(vals / np.linalg.norm(vals))
     # basis scale: calibrated for A and G, sqrt(|m| tau) for F, (f^2/2)^(1/4) for B..E
     lam = {"a": 1.1, "f": math.sqrt(abs(labels.m) * labels.tau), "g": 1.0}.get(case, (labels.f**2 / 2.0) ** 0.25)
     ctx = ladder_build(HERMITE_N[case] if n is None else n, lam, dims=2 if case in ("a", "f", "g") else 1, pad=0)
@@ -747,5 +707,4 @@ def case_setup(case: str, labels: RepLabels, rng, n: int | None = None, kmax: in
     if case in ("d", "e"):
         return ctx, InducedRepDE(labels, ctx), psi
     vals = np.array([psi.coeffs * np.exp(0.37j * i) for i in range(grid)])
-    state = CircleGridHermite(values=vals / np.linalg.norm(vals), lam=lam)
-    return ctx, InducedRepBC(labels, ctx, n_t=grid), state
+    return ctx, InducedRepBC(labels, ctx, n_t=grid), replace(psi, coeffs=vals / np.linalg.norm(vals))

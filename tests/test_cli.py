@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from nhkit import cli
 from nhkit.cli import (
     ScenarioError,
     case_labels,
@@ -242,6 +244,11 @@ def test_cli_exit_codes(tmp_path):
     assert _cli("group-check", "--samples", "1", "--tol", "associativity=abc").returncode == 2
     bad.write_text('{"inputs": {"box": "abc"}}')
     assert _cli("moyal-check", "--scenario", str(bad)).returncode == 2
+    # quadrature half-widths are positive: 0 is a zero-width box, -3 mirrors box 3
+    assert _cli("moyal-check", "--box", "0").returncode == 2
+    assert _cli("moyal-check", "--box=-3").returncode == 2
+    bad.write_text('{"inputs": {"roundtrip_box": 0}}')
+    assert _cli("moyal-check", "--scenario", str(bad)).returncode == 2
     assert _cli("classify", "--point", '{"f":"x","m":0,"h":1,"p":[0,0],"k":[0,0],"j":0}').returncode == 2
     # the basis scale sqrt(|m| tau) must be positive, and the probe modes 0..kmax must fit in N
     assert _cli("moyal-check", "--tau", "0").returncode == 2
@@ -293,3 +300,20 @@ def test_cli_csv_out(tmp_path):
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "t,q1,q2,p1,p2,h,j"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("command,inputs,inner", [
+    ("rep-check", {"case": "d", "samples": 1, "hermite_n": 8}, "case_setup"),
+    ("moyal-check", {"samples": 1, "hermite_n": 8, "nodes": 8, "roundtrip_nodes": 8}, "probe_state"),
+])
+def test_runners_hide_only_resolution_warnings(monkeypatch, command, inputs, inner):
+    """The runners silence truncation warnings, which the report measures, and nothing else."""
+    wrapped = getattr(cli, inner)
+
+    def warn_then_call(*args, **kwargs):
+        warnings.warn("raised inside the runner", RuntimeWarning)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(cli, inner, warn_then_call)
+    with pytest.warns(RuntimeWarning, match="inside the runner"):
+        run({"command": command, "inputs": inputs})

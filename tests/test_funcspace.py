@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,6 +324,28 @@ def test_state_json_round_trip(rng):
     back = HermiteState.from_json(psi.to_json())
     assert back.dims == 2 and back.n == 8 and back.lam == 1.4
     assert np.allclose(back.coeffs, psi.coeffs)
+    stack = replace(psi, coeffs=np.stack([psi.coeffs, 2j * psi.coeffs, psi.coeffs.T]).reshape(3, 1, 8, 8))
+    back = HermiteState.from_json(stack.to_json())
+    assert back.coeffs.shape == (3, 1, 8, 8) and back.n == 8
+    assert np.array_equal(back.coeffs, stack.coeffs)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_stacked_state_applies_state_by_state(rng, dims):
+    """exp_apply and displacement_apply act on each state of a stack as on the state alone."""
+    ctx = ladder_build(16, 1.2, dims=dims, pad=0)
+    states = [probe_state(ctx, rng, kmax=4) for _ in range(6)]
+    stack = replace(states[0], coeffs=np.stack([s.coeffs for s in states]).reshape((2, 3) + (16,) * dims))
+    assert stack.tail_fraction() <= 1e-8 and abs(stack.norm() - math.sqrt(6.0)) <= 1e-12
+    gen = QuadraticOperator(dims=dims, quad_yy=np.eye(dims), quad_dd=-0.5 * np.eye(dims), hermitian_generator=True)
+    phase, shift = rng.uniform(-1, 1, dims), rng.uniform(-1, 1, dims)
+    for apply in (lambda s: exp_apply(gen, 0.7, s, ctx), lambda s: displacement_apply(phase, shift, s, ctx)):
+        out = apply(stack)
+        assert out.coeffs.shape == stack.coeffs.shape
+        one_by_one = np.stack([apply(s).coeffs for s in states])
+        assert np.array_equal(out.coeffs.reshape(one_by_one.shape), one_by_one)
+    with pytest.raises(ValueError, match="shape"):
+        HermiteState(dims=dims, n=16, lam=1.2, coeffs=np.zeros((16,) * dims + (3,)))
 
 
 def test_square_sum_and_cross_product_consistency(rng):
@@ -441,7 +464,7 @@ def test_unstructured_generator_is_one_sector_and_matches_dense_path(rng):
     q = rep.w_gen
     mat = op_matrix(q, ctx)
     assert [idx.shape for idx in _sectors(mat)] == [(1, 40)]
-    psi = HermiteState(dims=1, n=40, lam=ctx.lam, coeffs=state.values[0])
+    psi = HermiteState(dims=1, n=40, lam=ctx.lam, coeffs=state.coeffs[0])
     w, v = np.linalg.eigh(mat)
     dense = v @ (np.exp(1j * 0.8 * w) * (v.conj().T @ psi.coeffs))
     assert np.array_equal(exp_apply(q, 0.8, psi, ctx).coeffs, dense)

@@ -25,6 +25,7 @@ from nhkit.representations import (
     InducedRepDE,
     InducedRepHIJ,
     OffGridError,
+    ScalarGrid,
     StratumError,
     TorusGridScalar,
     generator_check,
@@ -291,7 +292,7 @@ def ctx1d():
 def _grid_state(ctx, rng):
     base = probe_state(ctx, rng, kmax=2)
     vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(N_T)])
-    return CircleGridHermite(values=vals / np.linalg.norm(vals), lam=ctx.lam)
+    return HermiteState(dims=1, n=ctx.n, lam=ctx.lam, coeffs=vals / np.linalg.norm(vals))
 
 
 def _ongrid(rng, sign, scale=0.5):
@@ -307,9 +308,9 @@ def test_case_bc_identity_and_alpha_phase(ctx1d, rng, labels, sign):
     rep = InducedRepBC(labels, ctx1d, n_t=N_T)
     state = _grid_state(ctx1d, rng)
     out = rep.apply(GroupElement.identity(), state)
-    assert np.linalg.norm(out.values - state.values) <= 1e-13
+    assert np.linalg.norm(out.coeffs - state.coeffs) <= 1e-13
     out = rep.apply(central(0.8, 0.0), state)
-    assert np.allclose(out.values, cmath.exp(1j * labels.f * 0.8) * state.values)
+    assert np.allclose(out.coeffs, cmath.exp(1j * labels.f * 0.8) * state.coeffs)
 
 
 @pytest.mark.parametrize("labels", [LAB_B, LAB_C])
@@ -320,7 +321,7 @@ def test_case_bc_time_flow_is_exact(ctx1d, rng, labels):
     b1, b2 = 2 * TAU * spacing, 3 * TAU * spacing
     a = rep.apply(pure_time(b1), rep.apply(pure_time(b2), state))
     b = rep.apply(pure_time(b1 + b2), state)
-    assert np.linalg.norm(a.values - b.values) <= 1e-6
+    assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-6
 
 
 @pytest.mark.parametrize("labels,sign", [(LAB_B, 1.0), (LAB_C, -1.0)])
@@ -340,9 +341,28 @@ def test_case_bc_homomorphism_and_unitarity(ctx1d, rng, labels, sign):
 def test_circle_grid_tail_fraction_matches_hermite_state(ctx1d, rng):
     coeffs = rng.normal(size=ctx1d.n) + 1j * rng.normal(size=ctx1d.n)
     psi = HermiteState(dims=1, n=ctx1d.n, lam=ctx1d.lam, coeffs=coeffs)
-    grid = CircleGridHermite(values=np.array([coeffs * np.exp(0.37j * i) for i in range(N_T)]), lam=ctx1d.lam)
+    nodes = np.array([coeffs * np.exp(0.37j * i) for i in range(N_T)])
+    grid = HermiteState(dims=1, n=ctx1d.n, lam=ctx1d.lam, coeffs=nodes)
     assert 0.0 < psi.tail_fraction() < 1.0
     assert abs(grid.tail_fraction() - psi.tail_fraction()) <= 1e-14
+    # the node-grid formula from before grid states became stacks, bit for bit
+    n = ctx1d.n
+    total = float(np.sum(np.abs(nodes) ** 2))
+    assert grid.tail_fraction() == float(np.sum(np.abs(nodes[:, n - n // 4 :]) ** 2)) / total
+
+
+def test_case_bc_rejects_a_grid_of_another_size(ctx1d, rng):
+    """Rows past n_t were never written: a 32-node state under n_t = 16 came back with norm 0.71."""
+    base = probe_state(ctx1d, rng, kmax=2)
+    vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(32)])
+    state = HermiteState(dims=1, n=ctx1d.n, lam=ctx1d.lam, coeffs=vals / np.linalg.norm(vals))
+    with pytest.raises(ValueError, match="stack of 16"):
+        InducedRepBC(LAB_B, ctx1d, n_t=16).apply(GroupElement.identity(), state)
+    with pytest.raises(ValueError, match="stack of 16"):
+        InducedRepBC(LAB_B, ctx1d, n_t=16).apply(GroupElement.identity(), base)
+    for n_t in (0, 12, -8):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            InducedRepBC(LAB_B, ctx1d, n_t=n_t)
 
 
 def test_case_bc_off_grid_rejected(ctx1d, rng):
@@ -419,12 +439,12 @@ LAB_J = labels_case_j(kappa_vec=Vec2(0.3, -1.0), C5p=0.7)
 
 def _torus_state(rng, n1=16, n2=16):
     vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (n1, n2)))
-    return TorusGridScalar(values=vals / np.linalg.norm(vals), tau=TAU)
+    return ScalarGrid(vals / np.linalg.norm(vals))
 
 
 def _circle_state(rng, n=16):
     vals = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-    return CircleGridScalar(values=vals / np.linalg.norm(vals))
+    return ScalarGrid(vals / np.linalg.norm(vals))
 
 
 def _torus_element(rng, n1=16, n2=16, scale=0.5):
@@ -438,7 +458,7 @@ def test_case_h_homomorphism_exact(rng):
     rep = InducedRepHIJ(LAB_H)
     state = _torus_state(rng)
     same = rep.apply(GroupElement.identity(), state)
-    assert np.linalg.norm(same.values - state.values) == 0.0
+    assert np.linalg.norm(same.coeffs - state.coeffs) == 0.0
     worst = 0.0
     units = []
     for _ in range(40):
@@ -464,8 +484,8 @@ def test_case_h_sample_point_oracle(rng):
     phase = cmath.exp(1j * (LAB_H.rho.dot(big_a) + LAB_H.kappa_vec.dot(big_b)))
     steps1 = round(g.b / (2 * math.pi * TAU / n1))
     steps2 = round(g.phi / (2 * math.pi / n2))
-    expected = phase * state.values[(i - steps1) % n1, (jj - steps2) % n2]
-    assert abs(out.values[i, jj] - expected) <= 1e-14
+    expected = phase * state.coeffs[(i - steps1) % n1, (jj - steps2) % n2]
+    assert abs(out.coeffs[i, jj] - expected) <= 1e-14
 
 
 @pytest.mark.parametrize("labels", [LAB_I, LAB_J])
@@ -473,7 +493,7 @@ def test_case_ij_homomorphism_exact(rng, labels):
     rep = InducedRepHIJ(labels)
     state = _circle_state(rng)
     same = rep.apply(GroupElement.identity(), state)
-    assert np.linalg.norm(same.values - state.values) == 0.0
+    assert np.linalg.norm(same.coeffs - state.coeffs) == 0.0
     worst = 0.0
     for _ in range(40):
         g1 = _ongrid(rng, 1.0)
@@ -500,8 +520,8 @@ def test_case_ij_group_operation_oracle(rng, labels, sign):
         oracle = cmath.exp(
             1j * (b_eta * c5 + labels.rho.dot(n_eta.a) + labels.kappa_vec.dot(n_eta.v))
         )
-        shifted = np.roll(state.values, round(sigma / (2 * math.pi / n)))[i]
-        assert abs(out.values[i] - oracle * shifted) <= 1e-13
+        shifted = np.roll(state.coeffs, round(sigma / (2 * math.pi / n)))[i]
+        assert abs(out.coeffs[i] - oracle * shifted) <= 1e-13
 
 
 def test_case_hij_off_grid_rejected(rng):
@@ -510,6 +530,29 @@ def test_case_hij_off_grid_rejected(rng):
         InducedRepHIJ(LAB_I).apply(pure_time(0.123), state)
     with pytest.raises(OffGridError):
         InducedRepHIJ(LAB_H).apply(pure_time(0.123), _torus_state(rng))
+    # H needs a 2D grid, I and J a 1D one; every grid size is a positive multiple of 8
+    with pytest.raises(ValueError, match="2D grid"):
+        InducedRepHIJ(LAB_H).apply(GroupElement.identity(), state)
+    with pytest.raises(ValueError, match="1D grid"):
+        InducedRepHIJ(LAB_J).apply(GroupElement.identity(), _torus_state(rng))
+    for shape in ((12,), (16, 4), (0,), (8, 8, 8)):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            ScalarGrid(np.ones(shape, complex))
+
+
+def test_benchmark_constructors_build_accepted_states(ctx1d, rng):
+    """The grid constructors the benchmark calls, with its keywords."""
+    base = probe_state(ctx1d, rng, kmax=2)
+    vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(N_T)])
+    state = CircleGridHermite(values=vals / np.linalg.norm(vals), lam=ctx1d.lam)
+    assert isinstance(state, HermiteState) and state.dims == 1 and state.n == ctx1d.n
+    out = InducedRepBC(LAB_B, ctx1d, n_t=N_T).apply(GroupElement.identity(), state)
+    assert np.linalg.norm(out.coeffs - state.coeffs) <= 1e-13
+    torus = TorusGridScalar(values=_torus_state(rng).coeffs, tau=TAU)
+    circle = CircleGridScalar(values=_circle_state(rng).coeffs)
+    for labels, grid in ((LAB_H, torus), (LAB_I, circle), (LAB_J, circle)):
+        assert isinstance(grid, ScalarGrid)
+        assert np.array_equal(InducedRepHIJ(labels).apply(GroupElement.identity(), grid).coeffs, grid.coeffs)
 
 
 def test_case_k_character():
