@@ -40,6 +40,7 @@ from .group import (
     compose,
     element_distance,
     inverse,
+    random_element,
     unextended_project,
 )
 from .moyal import (
@@ -52,18 +53,7 @@ from .moyal import (
     tri_kernel_closed_form,
     weyl_symbol_axis,
 )
-from .representations import (
-    CANONICAL_LABELS,
-    HERMITE_N,
-    LABEL_FACTORIES,
-    PROBE_KMAX,
-    InducedRep2D,
-    case_setup,
-    generator_check,
-    homomorphism_residual,
-    labels_case_f,
-    rep_k,
-)
+from .representations import CASES, InducedRep2D, check_case, labels_case_f
 
 
 class ScenarioError(ValueError):
@@ -114,7 +104,7 @@ _reals = _rule(_is_reals, "a nonempty list of finite numbers")
 _positives = _rule(_is_positives, "a nonempty list of positive numbers")
 # the contraction slope is taken between the first and the last speed
 _speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1], "positive numbers whose first and last differ")
-_case = _rule(lambda x: str(x).lower() in LABEL_FACTORIES, "a case a..k", lambda x: str(x).lower())
+_case = _rule(lambda x: str(x).lower() in CASES, "a case a..k", lambda x: str(x).lower())
 
 
 REQUIRED = inspect.Parameter.empty  # the default of a field that must be given, as in a signature
@@ -147,11 +137,6 @@ DUAL_POINT = {
     "k": (_vec, REQUIRED), "j": (_real, REQUIRED), "tau": (_positive, 1.0),
 }
 ATLAS_BASE = {key: DUAL_POINT[key] for key in ("h", "p", "k", "j", "tau")}  # orbit-atlas sweeps f and m
-
-
-def _random_element(rng, tau=1.0, variant=Variant.OSCILLATING, scale=2.0) -> GroupElement:
-    v = rng.uniform(-scale, scale, size=8)
-    return GroupElement(v[0], v[1], v[2], Vec2(v[3], v[4]), Vec2(v[5], v[6]), v[7], variant, tau)
 
 
 # --------------------------------------------------------------------------
@@ -214,9 +199,7 @@ def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
         for tau in inputs["taus"]:
             e = GroupElement.identity(variant, tau)
             for _ in range(inputs["samples"]):
-                g1 = _random_element(rng, tau, variant)
-                g2 = _random_element(rng, tau, variant)
-                g3 = _random_element(rng, tau, variant)
+                g1, g2, g3 = (random_element(rng, tau, variant) for _ in range(3))
                 lhs = compose(compose(g1, g2), g3)
                 rhs = compose(g1, compose(g2, g3))
                 scale = max(
@@ -308,9 +291,9 @@ def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, 
 def case_labels(case: str, given: dict | None = None, tau: float = 1.0):
     """Canonical labels of `case`, or labels from the JSON fields `given`: the
     keywords of its factory, with `kappa` for kappa_vec and 2-lists for vectors."""
-    factory = LABEL_FACTORIES[case]
+    factory = CASES[case].factory
     if given is None:
-        return factory(**CANONICAL_LABELS[case], tau=tau)
+        return factory(**CASES[case].labels, tau=tau)
     params = inspect.signature(factory).parameters
     names = {("kappa" if p == "kappa_vec" else p): p for p in params if p != "tau"}
     table = {key: (_vec if key in ("rho", "kappa") else _real, params[p].default) for key, p in names.items()}
@@ -318,84 +301,28 @@ def case_labels(case: str, given: dict | None = None, tau: float = 1.0):
     return factory(**{names[key]: value for key, value in fields.items()}, tau=tau)
 
 
-def _ongrid_element(rng, n_t: int, tau: float, scale: float = 0.5, torus=None) -> GroupElement:
-    v = rng.uniform(-scale, scale, size=6)
-    spacing = 2.0 * math.pi / n_t
-    if torus:
-        b = (2.0 * math.pi * tau / torus[0]) * rng.integers(-3, 4)
-        phi = (2.0 * math.pi / torus[1]) * rng.integers(-3, 4)
-    else:
-        b = tau * spacing * rng.integers(-2, 3)
-        phi = spacing * rng.integers(-2, 3)
-    return GroupElement(v[0], v[1], b, Vec2(v[2], v[3]), Vec2(v[4], v[5]), phi, Variant.OSCILLATING, tau)
-
-
 def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    case, tau, samples, scale, grid = (inputs[key] for key in ("case", "tau", "samples", "scale", "grid"))
-    labels = case_labels(case, inputs["labels"], tau)
+    case, n, kmax = inputs["case"], inputs["hermite_n"], inputs["probe_kmax"]
+    labels = case_labels(case, inputs["labels"], inputs["tau"])
+    if CASES[case].n is not None:  # the probe state's modes 0..kmax must fit in the basis
+        _require(kmax < n, f"probe_kmax {kmax} must be below hermite_n {n} for case {case}")
     rng = np.random.default_rng(seed)
-    hom_max = unit_max = 0.0
-    n_herm = resolution = None  # no basis, so no truncation, for cases h..k
-    gen_residuals: dict[str, float] = {}
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
-        if case == "k":
-            for _ in range(samples):
-                g1 = _random_element(rng, tau, scale=2.0)
-                g2 = _random_element(rng, tau, scale=2.0)
-                val = rep_k(labels, compose(g1, g2)) - rep_k(labels, g1) * rep_k(labels, g2)
-                hom_max = max(hom_max, abs(val))
-                unit_max = max(unit_max, abs(abs(rep_k(labels, g1)) - 1.0))
-        else:
-            n, kmax = inputs["hermite_n"], inputs["probe_kmax"]
-            if case in HERMITE_N:  # the probe state's modes 0..kmax must fit in the basis
-                _require(kmax < n, f"probe_kmax {kmax} must be below hermite_n {n} for case {case}")
-            ctx, rep, state = case_setup(case, labels, rng, n=n, kmax=kmax, grid=grid)
-            if ctx is not None:
-                n_herm, resolution = ctx.n, 0.0
-            if case in ("b", "c", "h", "i", "j"):
-                torus = (grid, grid) if case == "h" else None
-                draw = lambda: _ongrid_element(rng, grid, tau, scale, torus=torus)
-            else:
-                draw = lambda: _random_element(rng, tau, scale=scale)
-            for _ in range(samples):
-                g1, g2 = draw(), draw()
-                hom, unit, out = homomorphism_residual(rep.apply, g1, g2, state)
-                hom_max, unit_max = max(hom_max, hom), max(unit_max, unit)
-                if ctx is not None:
-                    resolution = max(resolution, out.tail_fraction())
-            if case in ("a", "f", "g"):
-                for direction in ("P1", "P2", "K1", "K2", "H", "J", "M", "F"):
-                    gen_residuals[direction] = generator_check(
-                        labels, labels.orbit_class, direction, ctx, state
-                    )
-
-    metrics = {
-        "case": case,
-        "hermite_n": n_herm,
-        "unitarity_max": unit_max,
-        "homomorphism_max": hom_max,
-        "generator_residuals": gen_residuals,
-        "resolution_metrics": {"max_tail_fraction": resolution},
-    }
-    passes = {
-        "unitarity": unit_max <= tol["unitarity"],
-        "homomorphism": hom_max <= tol["homomorphism"],
-    }
-    if gen_residuals:
-        passes["generators"] = max(gen_residuals.values()) <= tol["generator"]
+        metrics = check_case(case, labels, rng, inputs["samples"], inputs["scale"], inputs["grid"], n, kmax)
+    passes = {name: metrics[f"{name}_max"] <= tol[name] for name in ("unitarity", "homomorphism")}
+    if metrics["generator_residuals"]:
+        passes["generators"] = max(metrics["generator_residuals"].values()) <= tol["generator"]
     return metrics, passes, []
 
 
 def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
     m, tau, n_herm, box, nodes = (inputs[key] for key in ("m", "tau", "hermite_n", "box", "nodes"))
     rng = np.random.default_rng(seed)
-    lam = math.sqrt(abs(m) * tau)
+    labels = labels_case_f(**{**CASES["f"].labels, "m": m}, tau=tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
-        ctx = ladder_build(n_herm, lam, dims=2)
-        labels = labels_case_f(**{**CANONICAL_LABELS["f"], "m": m}, tau=tau)
+        ctx = ladder_build(n_herm, CASES["f"].lam(labels), dims=2)
         rep = InducedRep2D(labels, ctx)
         psi = probe_state(ctx, rng, kmax=3)
         cov = iso = 0.0
@@ -468,12 +395,12 @@ SPECS = {
         "case": (_case, "f"), "tau": (_positive, 1.0), "samples": (_count(1), 50), "scale": (_real, 0.5),
         "grid": (_grid, 16),
         # the case's defaults, None for cases h..k, which have no Hermite basis
-        "hermite_n": (_count(4), lambda inputs: HERMITE_N.get(inputs["case"])),
-        "probe_kmax": (_count(0), lambda inputs: PROBE_KMAX.get(inputs["case"])),
+        "hermite_n": (_count(4), lambda inputs: CASES[inputs["case"]].n),
+        "probe_kmax": (_count(0), lambda inputs: CASES[inputs["case"]].kmax),
         "labels": (lambda x, where: x, None),  # checked against the case's factory by case_labels
     }, {
         "unitarity": 1e-10, "generator": 1e-5,
-        "homomorphism": lambda inputs: 1e-6 if inputs["case"] in "fhijk" else 1e-3,
+        "homomorphism": lambda inputs: CASES[inputs["case"]].homomorphism,
     }),
     "moyal-check": (_run_moyal_check, {
         "m": (_nonzero, 1.0), "tau": (_positive, 1.0),  # the basis scale sqrt(|m| tau) must be positive

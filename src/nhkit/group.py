@@ -198,6 +198,12 @@ def central(alpha: float, theta: float, tau: float = 1.0, variant: Variant = Var
     return GroupElement(alpha, theta, 0.0, Vec2.zero(), Vec2.zero(), 0.0, variant, tau)
 
 
+def random_element(rng, tau: float = 1.0, variant: Variant = Variant.OSCILLATING, scale: float = 2.0) -> GroupElement:
+    """An element with all eight coordinates drawn uniformly from [-scale, scale] by `rng`."""
+    v = rng.uniform(-scale, scale, size=8)
+    return GroupElement(v[0], v[1], v[2], Vec2(v[3], v[4]), Vec2(v[5], v[6]), v[7], variant, tau)
+
+
 def _check_compatible(g1: GroupElement, g2: GroupElement) -> None:
     if g1.variant is not g2.variant:
         raise ValueError("cannot compose elements of different variants")

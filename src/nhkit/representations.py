@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,7 @@ from .group import (
     pure_time,
     pure_translation,
     central,
+    random_element,
 )
 
 
@@ -200,9 +202,10 @@ def nk_decompose(g: GroupElement) -> tuple[GroupElement, float, float]:
     return n_star, g.b, g.phi
 
 
-def _require_oscillating(g: GroupElement):
-    if g.variant is not Variant.OSCILLATING:
-        raise ValueError("representations are constructed for the oscillating variant")
+def _require_stratum(labels: RepLabels, g: GroupElement):
+    """The representations act on oscillating elements of the labels' tau."""
+    if g.variant is not Variant.OSCILLATING or g.tau != labels.tau:
+        raise StratumError(f"case {labels.orbit_class.value} acts on oscillating elements of tau {labels.tau}")
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +297,7 @@ class InducedRep2D:
         self.ops = generators(labels)
 
     def apply(self, g: GroupElement, psi: HermiteState) -> HermiteState:
-        _require_oscillating(g)
-        if g.tau != self.labels.tau:
-            raise StratumError("element tau does not match the labels")
+        _require_stratum(self.labels, g)
         n_star, b, phi = nk_decompose(g)
         out = psi
         if phi != 0.0:
@@ -317,7 +318,7 @@ def nilpotent_rep_apply(
         raise StratumError("nilpotent representation carries class-A labels")
     if g.b != 0.0 or g.phi != 0.0:
         raise ValueError("nilpotent elements have b = phi = 0")
-    _require_oscillating(g)
+    _require_stratum(labels, g)
     return _apply_nilpotent_2d(OrbitClass.A, labels, g, psi, ctx)
 
 
@@ -404,6 +405,7 @@ def inner_rep_apply(labels: RepLabels, n: GroupElement, psi: HermiteState, ctx: 
     """Inner nilpotent representation on L^2(R) (cases B/C/D/E)."""
     if n.b != 0.0 or n.phi != 0.0:
         raise ValueError("nilpotent elements have b = phi = 0")
+    _require_stratum(labels, n)
     scalar, w, s = _nilpotent_factors_1d(labels, n)
     out = displacement_apply([w], [s], psi, ctx)
     return replace(out, coeffs=out.coeffs * cmath.exp(1j * (scalar + w * s)))
@@ -474,7 +476,7 @@ class InducedRepBC:
         return g.b / self.labels.tau + self._sign * g.phi
 
     def apply(self, g: GroupElement, state: HermiteState) -> HermiteState:
-        _require_oscillating(g)
+        _require_stratum(self.labels, g)
         if state.dims != 1 or state.coeffs.shape != (self.n_t, self.ctx.n):
             raise ValueError(f"cases B/C act on a stack of {self.n_t} 1D states of {self.ctx.n} modes")
         tau = self.labels.tau
@@ -518,7 +520,7 @@ class InducedRepDE:
         self.w_gen = intertwiner_generator(labels)
 
     def apply(self, g: GroupElement, psi: HermiteState) -> HermiteState:
-        _require_oscillating(g)
+        _require_stratum(self.labels, g)
         lab = self.labels
         tau = lab.tau
         n_star, b, phi = nk_decompose(g)
@@ -547,15 +549,15 @@ class InducedRepHIJ:
         if labels.orbit_class not in (OrbitClass.H, OrbitClass.I, OrbitClass.J):
             raise ValueError("InducedRepHIJ covers cases H, I, J")
         self.labels = labels
+        self.rank = 2 if labels.orbit_class is OrbitClass.H else 1  # of the grid
 
     def apply(self, g: GroupElement, state: ScalarGrid) -> ScalarGrid:
-        _require_oscillating(g)
+        _require_stratum(self.labels, g)
         lab = self.labels
         tau = lab.tau
         rho, kap = lab.rho, lab.kappa_vec
-        rank = 2 if lab.orbit_class is OrbitClass.H else 1
-        if state.coeffs.ndim != rank:
-            raise ValueError(f"case {lab.orbit_class.value} acts on a {rank}D grid")
+        if state.coeffs.ndim != self.rank:
+            raise ValueError(f"case {lab.orbit_class.value} acts on a {self.rank}D grid")
         if lab.orbit_class is OrbitClass.H:
             n1, n2 = state.coeffs.shape
             steps1 = _grid_steps(g.b, 2.0 * math.pi * tau / n1, "case H time shift")
@@ -615,6 +617,7 @@ def rep_k(labels: RepLabels, g: GroupElement) -> complex:
     """Case K: the character e^{i b h} e^{i phi j}."""
     if labels.orbit_class is not OrbitClass.K:
         raise StratumError("rep_k carries class-K labels")
+    _require_stratum(labels, g)
     return cmath.exp(1j * (g.b * labels.h + g.phi * labels.j))
 
 
@@ -663,48 +666,110 @@ def homomorphism_residual(apply, g1, g2, state):
 
 
 # --------------------------------------------------------------------------
-# case table: canonical labels, basis sizes, carriers and probe states
+# case table: one row per case a..k, and the check that rep-check runs on a row
 # --------------------------------------------------------------------------
 
-LABEL_FACTORIES = dict(zip("abcdefghijk", (
-    labels_case_a, labels_case_b, labels_case_c, labels_case_d, labels_case_e, labels_case_f,
-    labels_case_g, labels_case_h, labels_case_i, labels_case_j, labels_case_k,
-)))
+def _free(rng, tau, scale, grid):  # all eight coordinates from [-scale, scale]
+    return random_element(rng, tau, scale=scale)
 
-# well-conditioned labels per case, as keyword arguments of its factory
-CANONICAL_LABELS = {
-    "a": {"f": 3.0, "m": 1.0, "C1": 1.0, "C2": 0.5},
-    "b": {"m": 1.0, "C3": 1.0, "C4": 0.7, "kappa1": 0.3},
-    "c": {"m": 1.0, "C3p": 1.0, "C4p": 0.7, "kappa1": 0.3},
-    "d": {"m": 1.0, "C4": 0.8, "C5": 0.4, "kappa1": 0.2, "kappa2": 0.1},
-    "e": {"m": 1.0, "C4p": 0.8, "C5p": 0.4, "kappa1": 0.2, "kappa2": 0.1},
-    "f": {"m": 1.0, "C1": 1.0, "C2": 0.3},
-    "g": {"f": 1.5, "C1": 0.8, "C2": 0.4},
-    "h": {"rho": Vec2(1.0, 0.0), "kappa_vec": Vec2(0.0, 0.5)},
-    "i": {"kappa_vec": Vec2(0.0, -1.0), "C5": 0.7},
-    "j": {"kappa_vec": Vec2(0.3, -1.0), "C5p": 0.7},
-    "k": {"h": 1.0, "j": -1.0},
+
+def _on_grid(reach: int, b_step):
+    """A sampler: nilpotent coordinates from [-scale, scale], b and phi at most `reach` grid steps from 0."""
+    def draw(rng, tau, scale, grid):
+        v = rng.uniform(-scale, scale, size=6)
+        b = b_step(tau, grid) * rng.integers(-reach, reach + 1)
+        phi = (2.0 * math.pi / grid) * rng.integers(-reach, reach + 1)
+        return GroupElement(v[0], v[1], b, Vec2(v[2], v[3]), Vec2(v[4], v[5]), phi, Variant.OSCILLATING, tau)
+    return draw
+
+
+_ON_CIRCLE = _on_grid(2, lambda tau, grid: tau * (2.0 * math.pi / grid))  # b/tau and phi on the circle: B, C, I, J
+_ON_TORUS = _on_grid(3, lambda tau, grid: 2.0 * math.pi * tau / grid)  # b on [0, 2 pi tau), phi on [0, 2 pi): H
+
+
+def _inner_scale(labels):  # (f^2/2)^(1/4), the basis scale of cases B..E
+    return (labels.f**2 / 2.0) ** 0.25
+
+
+@dataclass(frozen=True)
+class Case:
+    """One case of the table."""
+
+    factory: Callable[..., RepLabels]  # labels_case_*
+    labels: dict  # canonical labels: well-conditioned keyword arguments of the factory
+    carrier: Callable  # the representation class, or rep_k for the character K
+    sampler: Callable  # (rng, tau, scale, grid) -> an element the carrier accepts
+    homomorphism: float  # default budget
+    n: int | None = None  # default Hermite basis size; None for cases h..k, which have no basis
+    kmax: int | None = None  # default probe-state mode cutoff
+    lam: Callable[[RepLabels], float] | None = None  # basis scale: calibrated for A and G
+    generators: bool = False  # check the eight generator directions
+
+
+CASES = {
+    "a": Case(labels_case_a, {"f": 3.0, "m": 1.0, "C1": 1.0, "C2": 0.5}, InducedRep2D, _free, 1e-3,
+              n=32, kmax=1, lam=lambda labels: 1.1, generators=True),
+    "b": Case(labels_case_b, {"m": 1.0, "C3": 1.0, "C4": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,
+              n=96, kmax=2, lam=_inner_scale),
+    "c": Case(labels_case_c, {"m": 1.0, "C3p": 1.0, "C4p": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,
+              n=96, kmax=2, lam=_inner_scale),
+    "d": Case(labels_case_d, {"m": 1.0, "C4": 0.8, "C5": 0.4, "kappa1": 0.2, "kappa2": 0.1}, InducedRepDE, _free,
+              1e-3, n=80, kmax=2, lam=_inner_scale),
+    "e": Case(labels_case_e, {"m": 1.0, "C4p": 0.8, "C5p": 0.4, "kappa1": 0.2, "kappa2": 0.1}, InducedRepDE, _free,
+              1e-3, n=80, kmax=2, lam=_inner_scale),
+    "f": Case(labels_case_f, {"m": 1.0, "C1": 1.0, "C2": 0.3}, InducedRep2D, _free, 1e-6,
+              n=32, kmax=5, lam=lambda labels: math.sqrt(abs(labels.m) * labels.tau), generators=True),
+    "g": Case(labels_case_g, {"f": 1.5, "C1": 0.8, "C2": 0.4}, InducedRep2D, _free, 1e-3,
+              n=32, kmax=5, lam=lambda labels: 1.0, generators=True),
+    "h": Case(labels_case_h, {"rho": Vec2(1.0, 0.0), "kappa_vec": Vec2(0.0, 0.5)}, InducedRepHIJ, _ON_TORUS, 1e-6),
+    "i": Case(labels_case_i, {"kappa_vec": Vec2(0.0, -1.0), "C5": 0.7}, InducedRepHIJ, _ON_CIRCLE, 1e-6),
+    "j": Case(labels_case_j, {"kappa_vec": Vec2(0.3, -1.0), "C5p": 0.7}, InducedRepHIJ, _ON_CIRCLE, 1e-6),
+    "k": Case(labels_case_k, {"h": 1.0, "j": -1.0}, rep_k, _free, 1e-6),
 }
-
-# default Hermite basis size and probe-state mode cutoff of the Hermite-carried cases
-HERMITE_N = {"a": 32, "b": 96, "c": 96, "d": 80, "e": 80, "f": 32, "g": 32}
-PROBE_KMAX = {"a": 1, "b": 2, "c": 2, "d": 2, "e": 2, "f": 5, "g": 5}
 
 
 def case_setup(case: str, labels: RepLabels, rng, n: int | None = None, kmax: int | None = None, grid: int = 16):
-    """(ctx, rep, state) for case a..j: the basis context (None on scalar
-    grids), the representation and a normalized carried state.  Only the
-    state is drawn from `rng`; case k is the character `rep_k`."""
-    if case in ("h", "i", "j"):
-        vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (grid, grid) if case == "h" else grid))
-        return None, InducedRepHIJ(labels), ScalarGrid(vals / np.linalg.norm(vals))
-    # basis scale: calibrated for A and G, sqrt(|m| tau) for F, (f^2/2)^(1/4) for B..E
-    lam = {"a": 1.1, "f": math.sqrt(abs(labels.m) * labels.tau), "g": 1.0}.get(case, (labels.f**2 / 2.0) ** 0.25)
-    ctx = ladder_build(HERMITE_N[case] if n is None else n, lam, dims=2 if case in ("a", "f", "g") else 1, pad=0)
-    psi = probe_state(ctx, rng, kmax=PROBE_KMAX[case] if kmax is None else kmax)
-    if case in ("a", "f", "g"):
-        return ctx, InducedRep2D(labels, ctx), psi
-    if case in ("d", "e"):
-        return ctx, InducedRepDE(labels, ctx), psi
-    vals = np.array([psi.coeffs * np.exp(0.37j * i) for i in range(grid)])
+    """(ctx, rep, state) for `case`, the state normalized and drawn from `rng`; None for
+    what a case lacks (K lacks all three).  n and kmax default to the case's."""
+    row = CASES[case]
+    if row.carrier is rep_k:
+        return None, None, None
+    if row.carrier is InducedRepHIJ:  # random phases on the grid
+        rep = InducedRepHIJ(labels)
+        vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (grid,) * rep.rank))
+        return None, rep, ScalarGrid(vals / np.linalg.norm(vals))
+    ctx = ladder_build(row.n if n is None else n, row.lam(labels), dims=2 if row.carrier is InducedRep2D else 1, pad=0)
+    psi = probe_state(ctx, rng, kmax=row.kmax if kmax is None else kmax)
+    if row.carrier is not InducedRepBC:
+        return ctx, row.carrier(labels, ctx), psi
+    vals = np.array([psi.coeffs * np.exp(0.37j * i) for i in range(grid)])  # one rephased state per node
     return ctx, InducedRepBC(labels, ctx, n_t=grid), replace(psi, coeffs=vals / np.linalg.norm(vals))
+
+
+def check_case(case: str, labels: RepLabels, rng, samples: int, scale: float, grid: int = 16,
+               n: int | None = None, kmax: int | None = None) -> dict:
+    """The metrics rep-check reports for `case`, all draws from `rng`: the worst residuals over
+    `samples` pairs of elements from the case's sampler, and the generator residuals if checked."""
+    row = CASES[case]
+    ctx, rep, state = case_setup(case, labels, rng, n, kmax, grid)
+    hom_max = unit_max = 0.0
+    tail = None if ctx is None else 0.0  # no basis, so no truncation, for cases h..k
+    for _ in range(samples):
+        g1, g2 = row.sampler(rng, labels.tau, scale, grid), row.sampler(rng, labels.tau, scale, grid)
+        if rep is None:  # the character K
+            hom = abs(rep_k(labels, compose(g1, g2)) - rep_k(labels, g1) * rep_k(labels, g2))
+            unit = abs(abs(rep_k(labels, g1)) - 1.0)
+        else:
+            hom, unit, out = homomorphism_residual(rep.apply, g1, g2, state)
+            if ctx is not None:
+                tail = max(tail, out.tail_fraction())
+        hom_max, unit_max = max(hom_max, hom), max(unit_max, unit)
+    directions = _DIRECTION_BUILDERS if row.generators else ()
+    return {
+        "case": case,
+        "hermite_n": None if ctx is None else ctx.n,
+        "unitarity_max": unit_max,
+        "homomorphism_max": hom_max,
+        "generator_residuals": {d: generator_check(labels, labels.orbit_class, d, ctx, state) for d in directions},
+        "resolution_metrics": {"max_tail_fraction": tail},
+    }

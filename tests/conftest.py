@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nhkit.group import GroupElement, Variant, Vec2
-
-
-def random_element(rng, tau=1.0, variant=Variant.OSCILLATING, scale=2.0) -> GroupElement:
-    v = rng.uniform(-scale, scale, size=8)
-    return GroupElement(
-        v[0], v[1], v[2], Vec2(v[3], v[4]), Vec2(v[5], v[6]), v[7], variant, tau
-    )
+from nhkit.group import Vec2
 
 
 def hermite_fn(n, x):

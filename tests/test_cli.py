@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from nhkit import cli
+from nhkit import cli, representations
+from nhkit.representations import CASES
 from nhkit.cli import (
     ScenarioError,
     case_labels,
@@ -121,7 +122,8 @@ def test_determinism_byte_identical_reports():
 
 
 def test_default_labels_cover_all_cases():
-    for case in "abcdefghijk":
+    assert "".join(CASES) == "abcdefghijk"
+    for case in CASES:
         labels = case_labels(case)
         assert labels.orbit_class.value.lower() == case
 
@@ -308,12 +310,13 @@ def test_cli_csv_out(tmp_path):
 ])
 def test_runners_hide_only_resolution_warnings(monkeypatch, command, inputs, inner):
     """The runners silence truncation warnings, which the report measures, and nothing else."""
-    wrapped = getattr(cli, inner)
+    module = representations if inner == "case_setup" else cli  # rep-check's check_case calls case_setup
+    wrapped = getattr(module, inner)
 
     def warn_then_call(*args, **kwargs):
         warnings.warn("raised inside the runner", RuntimeWarning)
         return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(cli, inner, warn_then_call)
+    monkeypatch.setattr(module, inner, warn_then_call)
     with pytest.warns(RuntimeWarning, match="inside the runner"):
         run({"command": command, "inputs": inputs})

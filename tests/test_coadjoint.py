@@ -13,8 +13,8 @@ from nhkit.coadjoint import (
     random_point_in_class,
     time_translation,
 )
-from nhkit.group import GroupElement, Variant, Vec2, compose, pure_boost, pure_rotation
-from conftest import random_element, random_dual_coords
+from nhkit.group import GroupElement, Variant, Vec2, compose, pure_boost, pure_rotation, random_element
+from conftest import random_dual_coords
 
 
 def test_coad_identity(rng):

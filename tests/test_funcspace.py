@@ -24,7 +24,7 @@ from nhkit.funcspace import (
     probe_state,
     square_sum,
 )
-from nhkit.representations import CANONICAL_LABELS, LABEL_FACTORIES, case_setup
+from nhkit.representations import CASES, case_setup
 from conftest import hermite_fn
 
 
@@ -426,7 +426,7 @@ def test_op_apply_matches_op_matrix(rng):
 
 
 def canonical_setup(case: str, rng, n: int):
-    return case_setup(case, LABEL_FACTORIES[case](**CANONICAL_LABELS[case]), rng, n=n, kmax=5)
+    return case_setup(case, CASES[case].factory(**CASES[case].labels), rng, n=n, kmax=5)
 
 
 @pytest.mark.parametrize("case", ["a", "f", "g"])

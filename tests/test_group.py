@@ -16,9 +16,9 @@ from nhkit.group import (
     pure_boost,
     pure_time,
     pure_translation,
+    random_element,
     unextended_project,
 )
-from conftest import random_element
 
 floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 

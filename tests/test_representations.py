@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 import numpy as np
 import pytest
 
@@ -16,8 +17,10 @@ from nhkit.group import (
     pure_time,
     pure_translation,
     central,
+    random_element,
 )
 from nhkit.representations import (
+    CASES,
     CircleGridHermite,
     CircleGridScalar,
     InducedRep2D,
@@ -28,6 +31,7 @@ from nhkit.representations import (
     ScalarGrid,
     StratumError,
     TorusGridScalar,
+    case_setup,
     generator_check,
     generators,
     homomorphism_residual,
@@ -49,7 +53,6 @@ from nhkit.representations import (
     rep_k,
 )
 from nhkit.funcspace import exp_apply
-from conftest import random_element
 
 TAU = 1.0
 LAB_A = labels_case_a(f=3.0, m=1.0, C1=1.0, C2=0.5)
@@ -579,3 +582,17 @@ def test_variant_and_stratum_guards(ctx2d, rng):
         rep.apply(GroupElement.identity(Variant.OSCILLATING, 2.0), psi)
     with pytest.raises(StratumError):
         rep_k(LAB_F, GroupElement.identity())
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_case_rejects_elements_of_another_tau_or_variant(case):
+    labels = CASES[case].factory(**CASES[case].labels)  # tau = 1
+    ctx, rep, state = case_setup(case, labels, np.random.default_rng(0), n=8, kmax=2)
+    apply = (lambda g: rep_k(labels, g)) if rep is None else (lambda g: rep.apply(g, state))
+    nilpotent = GroupElement(0.1, 0.2, 0.0, Vec2(0.3, 0.0), Vec2(0.0, 0.4), 0.0, Variant.OSCILLATING, 2.0)
+    for g in (nilpotent, replace(nilpotent, tau=1.0, variant=Variant.EXPANDING)):
+        with pytest.raises(StratumError):
+            apply(g)
+        if case == "a":
+            with pytest.raises(StratumError):
+                nilpotent_rep_apply(labels, g, state, ctx)
