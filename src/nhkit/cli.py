@@ -77,6 +77,10 @@ def _is_positives(x) -> bool:
     return _is_reals(x) and min(x) > 0
 
 
+def _squares_finite(xs) -> bool:  # no x * x underflows to 0 or overflows
+    return all(0.0 < float(x) * float(x) < math.inf for x in xs)
+
+
 def _rule(test, need: str, typed=lambda x: x):
     """A parse rule: it checks a raw JSON value, named `where` in its error,
     and returns it typed."""
@@ -102,8 +106,9 @@ _vec = _rule(
 # lists come back as given, so reports and CSV rows print their entries as written
 _reals = _rule(_is_reals, "a nonempty list of finite numbers")
 _positives = _rule(_is_positives, "a nonempty list of positive numbers")
-# the contraction slope is taken between the first and the last speed
-_speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1], "positive numbers whose first and last differ")
+# the contraction slope is taken between the first and the last speed c, and the tables divide by c^2
+_speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1] and _squares_finite(x),
+                "positive numbers whose first and last differ and whose squares are positive and finite")
 _case = _rule(lambda x: str(x).lower() in CASES, "a case a..k", lambda x: str(x).lower())
 
 
@@ -192,37 +197,44 @@ def _run_evolve(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[st
     return metrics, passes, rows
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN if any is NaN (max() keeps its first argument over a NaN)."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
     rng = np.random.default_rng(seed)
     assoc = ident = inv_res = action = blind = proj = 0.0
     for variant in (Variant.OSCILLATING, Variant.EXPANDING):
+        expanding = variant is Variant.EXPANDING
         for tau in inputs["taus"]:
             e = GroupElement.identity(variant, tau)
             for _ in range(inputs["samples"]):
                 g1, g2, g3 = (random_element(rng, tau, variant) for _ in range(3))
                 lhs = compose(compose(g1, g2), g3)
                 rhs = compose(g1, compose(g2, g3))
+                # only the expanding variant's cosh(2b/tau) terms grow with the coordinates, so only it is scaled
                 scale = max(
                     1.0, abs(lhs.alpha), abs(lhs.theta), abs(lhs.a.x1), abs(lhs.a.x2),
                     abs(lhs.v.x1), abs(lhs.v.x2),
-                )
-                assoc = max(assoc, element_distance(lhs, rhs) / scale)
-                ident = max(ident, element_distance(compose(g1, e), g1), element_distance(compose(e, g1), g1))
+                ) if expanding else 1.0
+                assoc = _worst(assoc, element_distance(lhs, rhs) / scale)
+                ident = _worst(ident, element_distance(compose(g1, e), g1), element_distance(compose(e, g1), g1))
                 gi = compose(g1, inverse(g1))
-                scale_i = max(1.0, abs(g1.theta), g1.a.sq(), g1.v.sq())
-                inv_res = max(inv_res, element_distance(gi, e) / scale_i)
+                scale_i = max(1.0, g1.a.sq(), g1.v.sq()) if expanding else 1.0
+                inv_res = _worst(inv_res, element_distance(gi, e) / scale_i)
                 t, x = rng.uniform(-2, 2), Vec2(*rng.uniform(-2, 2, 2))
                 t1, x1 = act_spacetime(g2, t, x)
                 t2, x2 = act_spacetime(g1, t1, x1)
                 t3, x3 = act_spacetime(compose(g1, g2), t, x)
-                action = max(action, abs(t2 - t3), (x2 - x3).norm())
+                action = _worst(action, abs(t2 - t3), (x2 - x3).norm())
                 g1c = GroupElement(0.0, 0.0, g1.b, g1.a, g1.v, g1.phi, variant, tau)
                 _, xc = act_spacetime(g1c, t, x)
                 _, xg = act_spacetime(g1, t, x)
-                blind = max(blind, (xc - xg).norm())
+                blind = _worst(blind, (xc - xg).norm())
                 pc = unextended_project(compose(g1, g2))
                 cp = compose(unextended_project(g1), unextended_project(g2))
-                proj = max(
+                proj = _worst(
                     proj,
                     abs(pc.b - cp.b), (pc.a - cp.a).norm(), (pc.v - cp.v).norm(), abs(pc.phi - cp.phi),
                 )
@@ -241,48 +253,47 @@ def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
 
 def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
     rng = np.random.default_rng(seed)
-    tau = inputs["tau"]
-    jacobi = {}
+    tau, cs = inputs["tau"], inputs["contraction_speeds"]
+    # the contracted tables divide by c^2, which _speeds checks, and by R^2 = (c tau)^2
+    _require(_squares_finite([c * tau for c in cs]),
+             f"contraction_speeds times tau {tau} must have positive finite squares, got {cs!r}")
     tables = {
         "NH_minus": algebra.build_table("NH_minus", tau=tau),
+        "NH_plus": algebra.build_table("NH_plus", tau=tau),
         "NH_minus_ext": algebra.build_table("NH_minus", extended=True, tau=tau),
         "NH_plus_ext": algebra.build_table("NH_plus", extended=True, tau=tau),
+        "Galilei": algebra.build_table("Galilei"),
         "Galilei_ext": algebra.build_table("Galilei", extended=True),
         "Poincare": algebra.build_table("Poincare"),
         "dS_minus": algebra.build_table("dS_minus", c=1.0, R=1.0),
         "dS_plus": algebra.build_table("dS_plus", c=1.0, R=1.0),
     }
-    for name, table in tables.items():
-        jacobi[name] = algebra.jacobi_residual(table)
-    # contraction scaling
-    cs = inputs["contraction_speeds"]
-    nh = algebra.build_table("NH_minus", tau=tau)
-    devs = []
-    for c in cs:
-        contracted = algebra.contract(algebra.build_table("dS_minus", c=1.0, R=tau), c, c * tau)
-        devs.append(algebra.max_table_deviation(contracted, nh))
-    slope = (math.log(devs[-1]) - math.log(devs[0])) / (math.log(cs[-1]) - math.log(cs[0]))
-    # rank agreement
-    ext = algebra.build_table("NH_minus", extended=True, tau=tau)
-    agree = 0
-    total = 0
+    jacobi = {name: algebra.jacobi_residual(table) for name, table in tables.items()}
+    # each de Sitter algebra at speed c and radius c tau contracts to its Newton-Hooke algebra at tau
+    devs, slopes = {}, {}
+    for ds, nh in (("dS_minus", "NH_minus"), ("dS_plus", "NH_plus")):
+        devs[ds] = [algebra.max_table_deviation(algebra.contract(tables[ds], c, c * tau), tables[nh]) for c in cs]
+        slopes[ds] = (math.log(devs[ds][-1]) - math.log(devs[ds][0])) / (math.log(cs[-1]) - math.log(cs[0]))
+    # a draw agrees when its Kirillov rank is the dimension of the class it was drawn from, and
+    # classify returns that class
+    agree = total = 0
     for cls in OrbitClass:
         for _ in range(inputs["rank_samples"]):
             xi = random_point_in_class(cls, rng, tau)
-            rank = algebra.rank(algebra.kirillov_matrix(ext, xi))
+            rank = algebra.rank(algebra.kirillov_matrix(tables["NH_minus_ext"], xi))
             total += 1
-            if rank == classify(xi)[0].dimension:
+            if rank == cls.dimension and classify(xi)[0] is cls:
                 agree += 1
     metrics = {
         "jacobi": jacobi,
-        "contraction_deviations": dict(zip(map(str, cs), devs)),
-        "contraction_slope": slope,
+        "contraction_deviations": {name: dict(zip(map(str, cs), d)) for name, d in devs.items()},
+        "contraction_slope": slopes,
         "rank_agreement": agree / total,
     }
     passes = {
-        "jacobi": max(jacobi.values()) <= tol["jacobi"],
-        "contraction_monotone": all(devs[i + 1] < devs[i] for i in range(len(devs) - 1)),
-        "contraction_slope": abs(slope + 2.0) <= tol["slope"],
+        "jacobi": _worst(*jacobi.values()) <= tol["jacobi"],
+        "contraction_monotone": all(d[i + 1] < d[i] for d in devs.values() for i in range(len(d) - 1)),
+        "contraction_slope": all(abs(s + 2.0) <= tol["slope"] for s in slopes.values()),
         "rank_agreement": agree == total,
     }
     return metrics, passes, []

@@ -703,12 +703,11 @@ class Case:
     n: int | None = None  # default Hermite basis size; None for cases h..k, which have no basis
     kmax: int | None = None  # default probe-state mode cutoff
     lam: Callable[[RepLabels], float] | None = None  # basis scale: calibrated for A and G
-    generators: bool = False  # check the eight generator directions
 
 
 CASES = {
     "a": Case(labels_case_a, {"f": 3.0, "m": 1.0, "C1": 1.0, "C2": 0.5}, InducedRep2D, _free, 1e-3,
-              n=32, kmax=1, lam=lambda labels: 1.1, generators=True),
+              n=32, kmax=1, lam=lambda labels: 1.1),
     "b": Case(labels_case_b, {"m": 1.0, "C3": 1.0, "C4": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,
               n=96, kmax=2, lam=_inner_scale),
     "c": Case(labels_case_c, {"m": 1.0, "C3p": 1.0, "C4p": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,
@@ -718,9 +717,9 @@ CASES = {
     "e": Case(labels_case_e, {"m": 1.0, "C4p": 0.8, "C5p": 0.4, "kappa1": 0.2, "kappa2": 0.1}, InducedRepDE, _free,
               1e-3, n=80, kmax=2, lam=_inner_scale),
     "f": Case(labels_case_f, {"m": 1.0, "C1": 1.0, "C2": 0.3}, InducedRep2D, _free, 1e-6,
-              n=32, kmax=5, lam=lambda labels: math.sqrt(abs(labels.m) * labels.tau), generators=True),
+              n=32, kmax=5, lam=lambda labels: math.sqrt(abs(labels.m) * labels.tau)),
     "g": Case(labels_case_g, {"f": 1.5, "C1": 0.8, "C2": 0.4}, InducedRep2D, _free, 1e-3,
-              n=32, kmax=5, lam=lambda labels: 1.0, generators=True),
+              n=32, kmax=5, lam=lambda labels: 1.0),
     "h": Case(labels_case_h, {"rho": Vec2(1.0, 0.0), "kappa_vec": Vec2(0.0, 0.5)}, InducedRepHIJ, _ON_TORUS, 1e-6),
     "i": Case(labels_case_i, {"kappa_vec": Vec2(0.0, -1.0), "C5": 0.7}, InducedRepHIJ, _ON_CIRCLE, 1e-6),
     "j": Case(labels_case_j, {"kappa_vec": Vec2(0.3, -1.0), "C5p": 0.7}, InducedRepHIJ, _ON_CIRCLE, 1e-6),
@@ -749,7 +748,7 @@ def case_setup(case: str, labels: RepLabels, rng, n: int | None = None, kmax: in
 def check_case(case: str, labels: RepLabels, rng, samples: int, scale: float, grid: int = 16,
                n: int | None = None, kmax: int | None = None) -> dict:
     """The metrics rep-check reports for `case`, all draws from `rng`: the worst residuals over
-    `samples` pairs of elements from the case's sampler, and the generator residuals if checked."""
+    `samples` pairs of elements from the case's sampler, and the generator residuals on 2D carriers."""
     row = CASES[case]
     ctx, rep, state = case_setup(case, labels, rng, n, kmax, grid)
     hom_max = unit_max = 0.0
@@ -764,7 +763,7 @@ def check_case(case: str, labels: RepLabels, rng, samples: int, scale: float, gr
             if ctx is not None:
                 tail = max(tail, out.tail_fraction())
         hom_max, unit_max = max(hom_max, hom), max(unit_max, unit)
-    directions = _DIRECTION_BUILDERS if row.generators else ()
+    directions = _DIRECTION_BUILDERS if row.carrier is InducedRep2D else ()
     return {
         "case": case,
         "hermite_n": None if ctx is None else ctx.n,

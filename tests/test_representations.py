@@ -292,24 +292,13 @@ def ctx1d():
     return ladder_build(96, lam, dims=1, pad=0)
 
 
-def _grid_state(ctx, rng):
-    base = probe_state(ctx, rng, kmax=2)
-    vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(N_T)])
-    return HermiteState(dims=1, n=ctx.n, lam=ctx.lam, coeffs=vals / np.linalg.norm(vals))
-
-
-def _ongrid(rng, sign, scale=0.5):
-    spacing = 2.0 * math.pi / N_T
-    v = rng.uniform(-scale, scale, size=6)
-    b = TAU * spacing * rng.integers(-2, 3)
-    phi = spacing * rng.integers(-2, 3)
-    return GroupElement(v[0], v[1], b, Vec2(v[2], v[3]), Vec2(v[4], v[5]), phi)
+def _case(labels):  # the letter of the labels' row in CASES
+    return labels.orbit_class.value.lower()
 
 
 @pytest.mark.parametrize("labels,sign", [(LAB_B, 1.0), (LAB_C, -1.0)])
-def test_case_bc_identity_and_alpha_phase(ctx1d, rng, labels, sign):
-    rep = InducedRepBC(labels, ctx1d, n_t=N_T)
-    state = _grid_state(ctx1d, rng)
+def test_case_bc_identity_and_alpha_phase(rng, labels, sign):
+    _, rep, state = case_setup(_case(labels), labels, rng)  # one rephased state per node of N_T
     out = rep.apply(GroupElement.identity(), state)
     assert np.linalg.norm(out.coeffs - state.coeffs) <= 1e-13
     out = rep.apply(central(0.8, 0.0), state)
@@ -317,9 +306,8 @@ def test_case_bc_identity_and_alpha_phase(ctx1d, rng, labels, sign):
 
 
 @pytest.mark.parametrize("labels", [LAB_B, LAB_C])
-def test_case_bc_time_flow_is_exact(ctx1d, rng, labels):
-    rep = InducedRepBC(labels, ctx1d, n_t=N_T)
-    state = _grid_state(ctx1d, rng)
+def test_case_bc_time_flow_is_exact(rng, labels):
+    _, rep, state = case_setup(_case(labels), labels, rng)
     spacing = 2.0 * math.pi / N_T
     b1, b2 = 2 * TAU * spacing, 3 * TAU * spacing
     a = rep.apply(pure_time(b1), rep.apply(pure_time(b2), state))
@@ -327,16 +315,15 @@ def test_case_bc_time_flow_is_exact(ctx1d, rng, labels):
     assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-6
 
 
-@pytest.mark.parametrize("labels,sign", [(LAB_B, 1.0), (LAB_C, -1.0)])
-def test_case_bc_homomorphism_and_unitarity(ctx1d, rng, labels, sign):
-    rep = InducedRepBC(labels, ctx1d, n_t=N_T)
-    state = _grid_state(ctx1d, rng)
+@pytest.mark.parametrize("labels", [LAB_B, LAB_C])
+def test_case_bc_homomorphism_and_unitarity(rng, labels):
+    _, rep, state = case_setup(_case(labels), labels, rng)
+    sampler = CASES[_case(labels)].sampler
     worst = 0.0
     units = []
     for _ in range(10):
-        worst = max(
-            worst, hom_residual(rep.apply, _ongrid(rng, sign), _ongrid(rng, sign), state, units)
-        )
+        g1, g2 = sampler(rng, TAU, 0.5, N_T), sampler(rng, TAU, 0.5, N_T)
+        worst = max(worst, hom_residual(rep.apply, g1, g2, state, units))
     assert worst <= 1e-3  # truncation-limited; calibrated at N = 96
     assert max(units) <= 1e-10
 
@@ -368,9 +355,8 @@ def test_case_bc_rejects_a_grid_of_another_size(ctx1d, rng):
             InducedRepBC(LAB_B, ctx1d, n_t=n_t)
 
 
-def test_case_bc_off_grid_rejected(ctx1d, rng):
-    rep = InducedRepBC(LAB_B, ctx1d, n_t=N_T)
-    state = _grid_state(ctx1d, rng)
+def test_case_bc_off_grid_rejected(rng):
+    _, rep, state = case_setup("b", LAB_B, rng)
     with pytest.raises(OffGridError):
         rep.apply(pure_time(0.1234), state)
 
@@ -440,16 +426,6 @@ LAB_I = labels_case_i(kappa_vec=Vec2(0.0, -1.0), C5=0.7)
 LAB_J = labels_case_j(kappa_vec=Vec2(0.3, -1.0), C5p=0.7)
 
 
-def _torus_state(rng, n1=16, n2=16):
-    vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (n1, n2)))
-    return ScalarGrid(vals / np.linalg.norm(vals))
-
-
-def _circle_state(rng, n=16):
-    vals = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-    return ScalarGrid(vals / np.linalg.norm(vals))
-
-
 def _torus_element(rng, n1=16, n2=16, scale=0.5):
     v = rng.uniform(-scale, scale, size=4)
     b = (2 * math.pi * TAU / n1) * rng.integers(-3, 4)
@@ -458,8 +434,7 @@ def _torus_element(rng, n1=16, n2=16, scale=0.5):
 
 
 def test_case_h_homomorphism_exact(rng):
-    rep = InducedRepHIJ(LAB_H)
-    state = _torus_state(rng)
+    _, rep, state = case_setup("h", LAB_H, rng)  # random phases on the 16 x 16 torus
     same = rep.apply(GroupElement.identity(), state)
     assert np.linalg.norm(same.coeffs - state.coeffs) == 0.0
     worst = 0.0
@@ -471,9 +446,8 @@ def test_case_h_homomorphism_exact(rng):
 
 
 def test_case_h_sample_point_oracle(rng):
-    rep = InducedRepHIJ(LAB_H)
+    _, rep, state = case_setup("h", LAB_H, rng)
     n1 = n2 = 16
-    state = _torus_state(rng, n1, n2)
     g = _torus_element(rng)
     out = rep.apply(g, state)
     i, jj = 3, 5
@@ -493,14 +467,14 @@ def test_case_h_sample_point_oracle(rng):
 
 @pytest.mark.parametrize("labels", [LAB_I, LAB_J])
 def test_case_ij_homomorphism_exact(rng, labels):
-    rep = InducedRepHIJ(labels)
-    state = _circle_state(rng)
+    _, rep, state = case_setup(_case(labels), labels, rng)  # random phases on the 16-node circle
+    sampler = CASES[_case(labels)].sampler
     same = rep.apply(GroupElement.identity(), state)
     assert np.linalg.norm(same.coeffs - state.coeffs) == 0.0
     worst = 0.0
     for _ in range(40):
-        g1 = _ongrid(rng, 1.0)
-        g2 = _ongrid(rng, 1.0)
+        g1 = sampler(rng, TAU, 0.5, 16)
+        g2 = sampler(rng, TAU, 0.5, 16)
         worst = max(worst, hom_residual(rep.apply, g1, g2, state))
     assert worst <= 1e-10
 
@@ -509,10 +483,9 @@ def test_case_ij_homomorphism_exact(rng, labels):
 def test_case_ij_group_operation_oracle(rng, labels, sign):
     """Pointwise agreement with the induced-representation construction
     evaluated through group operations."""
-    rep = InducedRepHIJ(labels)
+    _, rep, state = case_setup(_case(labels), labels, rng)
     n = 16
-    state = _circle_state(rng, n)
-    g = _ongrid(rng, 1.0)
+    g = CASES[_case(labels)].sampler(rng, TAU, 0.5, n)
     sigma = g.b / TAU - g.phi if labels.orbit_class is OrbitClass.I else g.b / TAU + g.phi
     out = rep.apply(g, state)
     for i in (0, 4, 9):
@@ -528,16 +501,16 @@ def test_case_ij_group_operation_oracle(rng, labels, sign):
 
 
 def test_case_hij_off_grid_rejected(rng):
-    state = _circle_state(rng)
+    state = case_setup("i", LAB_I, rng)[2]
     with pytest.raises(OffGridError):
         InducedRepHIJ(LAB_I).apply(pure_time(0.123), state)
     with pytest.raises(OffGridError):
-        InducedRepHIJ(LAB_H).apply(pure_time(0.123), _torus_state(rng))
+        InducedRepHIJ(LAB_H).apply(pure_time(0.123), case_setup("h", LAB_H, rng)[2])
     # H needs a 2D grid, I and J a 1D one; every grid size is a positive multiple of 8
     with pytest.raises(ValueError, match="2D grid"):
         InducedRepHIJ(LAB_H).apply(GroupElement.identity(), state)
     with pytest.raises(ValueError, match="1D grid"):
-        InducedRepHIJ(LAB_J).apply(GroupElement.identity(), _torus_state(rng))
+        InducedRepHIJ(LAB_J).apply(GroupElement.identity(), case_setup("h", LAB_H, rng)[2])
     for shape in ((12,), (16, 4), (0,), (8, 8, 8)):
         with pytest.raises(ValueError, match="multiple of 8"):
             ScalarGrid(np.ones(shape, complex))
@@ -545,14 +518,12 @@ def test_case_hij_off_grid_rejected(rng):
 
 def test_benchmark_constructors_build_accepted_states(ctx1d, rng):
     """The grid constructors the benchmark calls, with its keywords."""
-    base = probe_state(ctx1d, rng, kmax=2)
-    vals = np.array([base.coeffs * np.exp(0.37j * i) for i in range(N_T)])
-    state = CircleGridHermite(values=vals / np.linalg.norm(vals), lam=ctx1d.lam)
+    state = CircleGridHermite(values=case_setup("b", LAB_B, rng)[2].coeffs, lam=ctx1d.lam)
     assert isinstance(state, HermiteState) and state.dims == 1 and state.n == ctx1d.n
     out = InducedRepBC(LAB_B, ctx1d, n_t=N_T).apply(GroupElement.identity(), state)
     assert np.linalg.norm(out.coeffs - state.coeffs) <= 1e-13
-    torus = TorusGridScalar(values=_torus_state(rng).coeffs, tau=TAU)
-    circle = CircleGridScalar(values=_circle_state(rng).coeffs)
+    torus = TorusGridScalar(values=case_setup("h", LAB_H, rng)[2].coeffs, tau=TAU)
+    circle = CircleGridScalar(values=case_setup("i", LAB_I, rng)[2].coeffs)
     for labels, grid in ((LAB_H, torus), (LAB_I, circle), (LAB_J, circle)):
         assert isinstance(grid, ScalarGrid)
         assert np.array_equal(InducedRepHIJ(labels).apply(GroupElement.identity(), grid).coeffs, grid.coeffs)
