@@ -1,8 +1,8 @@
-"""Acceptance suite: each test prints one PASS/FAIL line per criterion it checks.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1 and 2 share one test, which runs `group-check`; criteria 4 and 6
-share one, which runs `algebra-check`.  The CLI holds the only copy of those
-checks.  Criterion 8 is split in two: the kernel calculus checks, and the pointwise
+Criteria 1 and 2 read one run of `group-check`, and criteria 4 and 6 one run of
+`algebra-check`, each shared through a module fixture.  The CLI holds the only
+copy of those checks.  Criterion 8 is split in two: the kernel calculus checks, and the pointwise
 tri-kernel comparison.  The triple product is not trace class, so `tri_kernel`
 returns its trace under a fixed smooth window (a summability method), which
 converges to the closed form; the weak-form test in test_moyal.py checks the
@@ -13,6 +13,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 
 from nhkit.coadjoint import (
     OrbitClass,
@@ -51,29 +52,43 @@ def _say(line: str):
     print(line, file=sys.stderr)
 
 
-def test_criteria_1_2_group_check():
+@pytest.fixture(scope="module")
+def group_report():
     """group-check with 1,667 draws per (variant, tau), 5,001 per variant, at the criteria's
-    budgets, which are its defaults: the group axioms (criterion 1), the left action on
-    space-time and its blindness to the central extensions (criterion 2), and the projection to
-    the unextended group."""
+    budgets, which are its defaults."""
     report = run_scenario({
         "command": "group-check", "seed": SEED, "inputs": {"samples": 1667},
         "tolerances": {
             "associativity": 1e-10, "identity": 1e-10, "inverse": 1e-10, "action": 1e-11, "projection": 1e-12,
         },
     })
-    metrics, passes = report["metrics"], report["pass"]
-    ok1 = all(passes[name] for name in ("associativity", "identity", "inverse"))
-    ok2 = passes["action"] and passes["extension_blindness"]
+    assert set(report["pass"]) == {
+        "associativity", "identity", "inverse", "projection", "action", "extension_blindness",
+    }, report
+    return report
+
+
+def test_criterion_1_group_axioms(group_report):
+    """The group axioms, and the projection to the unextended group."""
+    metrics, passes = group_report["metrics"], group_report["pass"]
+    names = ("associativity", "identity", "inverse", "projection")
+    ok = all(passes[name] for name in names)
     _say(
         f"[criterion 1] group axioms: assoc={metrics['associativity_max']:.2e} ident={metrics['identity_max']:.2e} "
-        f"inv={metrics['inverse_max']:.2e} -> {'PASS' if ok1 else 'FAIL'}"
+        f"inv={metrics['inverse_max']:.2e} proj={metrics['projection_max']:.2e} -> {'PASS' if ok else 'FAIL'}"
     )
+    assert ok, group_report
+
+
+def test_criterion_2_spacetime_action(group_report):
+    """The left action on space-time and its blindness to the central extensions."""
+    metrics, passes = group_report["metrics"], group_report["pass"]
+    ok = passes["action"] and passes["extension_blindness"]
     _say(
         f"[criterion 2] space-time action: left-action={metrics['action_max']:.2e} "
-        f"central-blind={metrics['extension_blindness_max']:.1e} -> {'PASS' if ok2 else 'FAIL'}"
+        f"central-blind={metrics['extension_blindness_max']:.1e} -> {'PASS' if ok else 'FAIL'}"
     )
-    assert all(passes.values()), report
+    assert ok, group_report
 
 
 def test_criterion_3_coadjoint_action_and_invariants():
@@ -107,27 +122,38 @@ def test_criterion_3_coadjoint_action_and_invariants():
     assert worst_inv <= 1e-9
 
 
-def test_criteria_4_6_algebra_check():
+@pytest.fixture(scope="module")
+def algebra_report():
     """algebra-check with 1,000 draws per orbit class, at the criteria's budgets, which are its
-    defaults: the Kirillov rank against the orbit dimension (criterion 4), and Jacobi on nine
-    tables and both de Sitter contractions (criterion 6)."""
+    defaults."""
     report = run_scenario({
         "command": "algebra-check", "seed": SEED + 3, "inputs": {"rank_samples": 1000},
         "tolerances": {"jacobi": 1e-13, "slope": 0.1},
     })
-    metrics, passes = report["metrics"], report["pass"]
-    ok6 = passes["jacobi"] and passes["contraction_monotone"] and passes["contraction_slope"]
+    assert set(report["pass"]) == {"rank_agreement", "jacobi", "contraction_monotone", "contraction_slope"}, report
+    return report
+
+
+def test_criterion_4_kirillov_rank_equals_orbit_dimension(algebra_report):
+    metrics, passes = algebra_report["metrics"], algebra_report["pass"]
+    ok = passes["rank_agreement"]
     _say(
         f"[criterion 4] Kirillov rank vs orbit dimension: agreement={metrics['rank_agreement']:.4f} "
-        f"over {1000 * len(OrbitClass)} draws "
-        f"-> {'PASS' if passes['rank_agreement'] else 'FAIL'}"
+        f"over {1000 * len(OrbitClass)} draws -> {'PASS' if ok else 'FAIL'}"
     )
+    assert ok, algebra_report
+
+
+def test_criterion_6_contraction_and_jacobi(algebra_report):
+    """Jacobi on nine tables, and both de Sitter contractions."""
+    metrics, passes = algebra_report["metrics"], algebra_report["pass"]
+    ok = passes["jacobi"] and passes["contraction_monotone"] and passes["contraction_slope"]
     slopes = [f"{s:.3f}" for s in metrics["contraction_slope"].values()]
     _say(
         f"[criterion 6] contraction + Jacobi: jacobi={max(metrics['jacobi'].values()):.1e} slopes={slopes} "
-        f"-> {'PASS' if ok6 else 'FAIL'}"
+        f"-> {'PASS' if ok else 'FAIL'}"
     )
-    assert all(passes.values()), report
+    assert ok, algebra_report
 
 
 def test_criterion_5_dynamics():
