@@ -65,8 +65,8 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def _is_real(x) -> bool:  # a JSON integer too large for a float is not one
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _is_reals(x) -> bool:
@@ -109,6 +109,9 @@ _positives = _rule(_is_positives, "a nonempty list of positive numbers")
 # the contraction slope is taken between the first and the last speed c, and the tables divide by c^2
 _speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1] and _squares_finite(x),
                 "positive numbers whose first and last differ and whose squares are positive and finite")
+# the algebra tables hold tau^2 and 1/tau^2
+_tau = _rule(lambda x: _is_real(x) and x > 0 and _squares_finite([x, 1.0 / x]),
+             "a positive number whose square and inverse square are positive and finite", float)
 _case = _rule(lambda x: str(x).lower() in CASES, "a case a..k", lambda x: str(x).lower())
 
 
@@ -399,7 +402,7 @@ SPECS = {
         "t_max": (_positive, lambda inputs: 2.0 * math.pi * inputs["tau"]),  # one period
     }, {"conservation": 1e-9}),
     "algebra-check": (_run_algebra_check, {
-        "tau": (_positive, 1.0), "contraction_speeds": (_speeds, [1e2, 1e3, 1e4]),
+        "tau": (_tau, 1.0), "contraction_speeds": (_speeds, [1e2, 1e3, 1e4]),
         "rank_samples": (_count(1), 200),
     }, {"jacobi": 1e-13, "slope": 0.1}),
     "rep-check": (_run_rep_check, {

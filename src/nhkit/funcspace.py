@@ -1,22 +1,24 @@
 """Truncated Hermite-basis function spaces (1D and 2D) and exponentials of
-at-most-quadratic operators in (y, grad) — the numerical engine behind every
-representation operator.
+at-most-quadratic operators in (y, p), p = -i d/dy — the numerical engine
+behind every representation operator.
 
 Basis functions along each axis are the orthonormal Hermite functions of
-lambda*y.  Polynomial and derivative operators then have exact sparse matrix
-elements and act axis by axis (`op_apply`); exponentials of quadratic
-Hermitian generators are evaluated by eigendecomposition per exact sector,
-a connected component of the generator's nonzero pattern (unitary to
-machine precision); phase/shift displacements are the continuum matrix
-elements in closed form by default, or on a `pad=0` context the exponentials
-of the truncated generators.
+lambda*y.  A `QuadraticOperator` is one symmetric coefficient matrix over
+z = (1, y, p), Hermitian exactly when that matrix is real; `linear` builds the
+at-most-linear operators and `product` multiplies two of them.  Polynomial and
+derivative operators have exact sparse matrix elements and act axis by axis
+(`op_apply`); exponentials of quadratic Hermitian generators are evaluated by
+eigendecomposition per exact sector, a connected component of the generator's
+nonzero pattern (unitary to machine precision); phase/shift displacements are
+the continuum matrix elements in closed form by default, or on a `pad=0`
+context the exponentials of the truncated generators.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,8 +111,12 @@ class BasisContext:
         self.y1d, self.d1d = _ladder_matrices(n, lam)
         self.parity1d = (-1.0) ** np.arange(n)
         if pad == 0:
-            (self._wy, self._vy), (self._wd, self._vd) = np.linalg.eigh(self.y1d), np.linalg.eigh(1j * self.d1d)
-            self._vyh, self._vdh = self._vy.conj().T, self._vd.conj().T  # built once, not per call
+            # the Hermite functions are eigenfunctions of the Fourier transform, so
+            # i d = lam^2 F^H y F with F = diag(i^n), and y's factors give d's
+            self._wy, self._vy = np.linalg.eigh(self.y1d)
+            self._vyh = self._vy.conj().T  # built once, not per call
+            turn = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+            self._wd, self._vd, self._vdh = lam**2 * self._wy, turn.conj()[:, None] * self._vy, self._vyh * turn
         self._exp_cache: dict = {}
 
     def parity_vector(self) -> np.ndarray:
@@ -225,180 +231,85 @@ def probe_state(ctx: BasisContext, rng, kmax: int = 6) -> HermiteState:
 
 @dataclass(frozen=True)
 class QuadraticOperator:
-    """Operator  const + ly.y + ld.grad + y.Qyy.y + grad.Qdd.grad
-    + sum_ij Qyd_ij (y_i d_j + d_j y_i)/2  over `dims` axes.
+    """Operator  sum_ab coef[a, b] (z_a z_b + z_b z_a)/2  over
+    z = (1, y_1..y_d, p_1..p_d), p = -i d/dy, with `coef` a symmetric
+    (2d+1, 2d+1) array.  Every z_a is Hermitian, so the operator is
+    Hermitian exactly when `coef` is real."""
 
-    A `hermitian_generator` flag asserts the coefficient pattern that makes
-    the assembled matrix Hermitian: real const, real ly, imaginary ld, real
-    symmetric Qyy and Qdd, imaginary Qyd.
-    """
-
-    dims: int
-    const: complex = 0.0
-    lin_y: np.ndarray = field(default=None)
-    lin_d: np.ndarray = field(default=None)
-    quad_yy: np.ndarray = field(default=None)
-    quad_dd: np.ndarray = field(default=None)
-    quad_yd: np.ndarray = field(default=None)
-    hermitian_generator: bool = False
+    coef: np.ndarray
 
     def __post_init__(self):
-        d = self.dims
-        for name, shape in (
-            ("lin_y", (d,)),
-            ("lin_d", (d,)),
-            ("quad_yy", (d, d)),
-            ("quad_dd", (d, d)),
-            ("quad_yd", (d, d)),
-        ):
-            val = getattr(self, name)
-            if val is None:
-                object.__setattr__(self, name, np.zeros(shape, dtype=complex))
-            else:
-                arr = np.asarray(val, dtype=complex)
-                if arr.shape != shape:
-                    raise ValueError(f"{name} must have shape {shape}")
-                object.__setattr__(self, name, arr)
-        if self.hermitian_generator:
-            self._check_hermitian_pattern()
+        coef = np.asarray(self.coef, dtype=complex)
+        if coef.ndim != 2 or coef.shape[0] % 2 != 1 or not np.array_equal(coef, coef.T):
+            raise ValueError("coef must be a symmetric (2 dims + 1)-square array")
+        object.__setattr__(self, "coef", coef)
 
-    def _check_hermitian_pattern(self):
-        tol = 1e-12
-        ok = (
-            abs(np.imag(self.const)) <= tol
-            and np.max(np.abs(np.imag(self.lin_y)), initial=0.0) <= tol
-            and np.max(np.abs(np.real(self.lin_d)), initial=0.0) <= tol
-            and np.max(np.abs(np.imag(self.quad_yy)), initial=0.0) <= tol
-            and np.max(np.abs(np.imag(self.quad_dd)), initial=0.0) <= tol
-            and np.max(np.abs(self.quad_yy - self.quad_yy.T)) <= tol
-            and np.max(np.abs(self.quad_dd - self.quad_dd.T)) <= tol
-            and np.max(np.abs(np.real(self.quad_yd)), initial=0.0) <= tol
-        )
-        if not ok:
-            raise ValueError("coefficients violate the hermitian-generator pattern")
-
-    # -- linear algebra on operators ------------------------------------------
-    def is_linear(self) -> bool:
-        return (
-            np.max(np.abs(self.quad_yy)) == 0.0
-            and np.max(np.abs(self.quad_dd)) == 0.0
-            and np.max(np.abs(self.quad_yd)) == 0.0
-        )
+    @property
+    def dims(self) -> int:
+        return len(self.coef) // 2
 
     def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
-        if self.dims != other.dims:
-            raise ValueError("dimension mismatch")
-        return QuadraticOperator(
-            dims=self.dims,
-            const=self.const + other.const,
-            lin_y=self.lin_y + other.lin_y,
-            lin_d=self.lin_d + other.lin_d,
-            quad_yy=self.quad_yy + other.quad_yy,
-            quad_dd=self.quad_dd + other.quad_dd,
-            quad_yd=self.quad_yd + other.quad_yd,
-        )
+        return QuadraticOperator(self.coef + other.coef)
 
     def __sub__(self, other: "QuadraticOperator") -> "QuadraticOperator":
-        return self + (other * (-1.0))
+        return QuadraticOperator(self.coef - other.coef)
 
     def __mul__(self, s: complex) -> "QuadraticOperator":
-        return QuadraticOperator(
-            dims=self.dims,
-            const=self.const * s,
-            lin_y=self.lin_y * s,
-            lin_d=self.lin_d * s,
-            quad_yy=self.quad_yy * s,
-            quad_dd=self.quad_dd * s,
-            quad_yd=self.quad_yd * s,
-        )
+        return QuadraticOperator(self.coef * s)
 
     __rmul__ = __mul__
 
-    def flag_hermitian(self) -> "QuadraticOperator":
-        return replace(self, hermitian_generator=True)
-
-    def cache_key(self) -> tuple:
-        return (
-            self.dims,
-            complex(self.const),
-            self.lin_y.tobytes(),
-            self.lin_d.tobytes(),
-            self.quad_yy.tobytes(),
-            self.quad_dd.tobytes(),
-            self.quad_yd.tobytes(),
-        )
-
-    @staticmethod
-    def constant(dims: int, value: complex) -> "QuadraticOperator":
-        return QuadraticOperator(dims=dims, const=value)
-
-    @staticmethod
-    def linear(dims: int, lin_y=None, lin_d=None, const: complex = 0.0) -> "QuadraticOperator":
-        return QuadraticOperator(dims=dims, const=const, lin_y=lin_y, lin_d=lin_d)
+    def cache_key(self) -> bytes:
+        return self.coef.tobytes()
 
 
-def linear_product(a: QuadraticOperator, b: QuadraticOperator) -> QuadraticOperator:
-    """Operator product of two at-most-linear operators, normal ordering
-    resolved through [y_i, d_j] = -delta_ij (so d_i y_j = y_j d_i + delta_ij).
+def linear(dims: int, const: complex = 0.0, y=0.0, p=0.0) -> QuadraticOperator:
+    """const + y.y + p.p: coef[0, 0] = const and coef[0, a] = coef[a, 0] = half
+    the coefficient of z_a."""
+    coef = np.zeros((2 * dims + 1,) * 2, dtype=complex)
+    coef[0, 0] = const
+    coef[0, 1 : dims + 1] = coef[1 : dims + 1, 0] = 0.5 * np.asarray(y)
+    coef[0, dims + 1 :] = coef[dims + 1 :, 0] = 0.5 * np.asarray(p)
+    return QuadraticOperator(coef)
 
-    The mixed part is stored in symmetrized form, which shifts half of each
-    diagonal commutator into the constant.
-    """
-    if not (a.is_linear() and b.is_linear()):
-        raise ValueError("linear_product expects linear operators")
-    if a.dims != b.dims:
-        raise ValueError("dimension mismatch")
+
+def product(a: QuadraticOperator, b: QuadraticOperator) -> QuadraticOperator:
+    """Operator product a b of two at-most-linear operators with coefficient
+    vectors u, v over z: the symmetric part of the outer product u v^T plus
+    1/2 [a, b], the constant i/2 (u_y.v_p - u_p.v_y) by [y_j, p_k] = i delta_jk."""
+    if a.coef[1:, 1:].any() or b.coef[1:, 1:].any():
+        raise ValueError("product expects at-most-linear operators")
     d = a.dims
-    const = a.const * b.const + complex(np.dot(a.lin_d, b.lin_y))
-    lin_y = a.const * b.lin_y + b.const * a.lin_y
-    lin_d = a.const * b.lin_d + b.const * a.lin_d
-    qyy = np.outer(a.lin_y, b.lin_y)
-    qyy = 0.5 * (qyy + qyy.T)
-    qdd = np.outer(a.lin_d, b.lin_d)
-    qdd = 0.5 * (qdd + qdd.T)
-    # (a.y)(b.d): y_i d_j with coefficient a_i b_j; (a.d)(b.y): d_i y_j ->
-    # y_j d_i + delta_ij (constant already added above).
-    qyd = np.outer(a.lin_y, b.lin_d) + np.outer(b.lin_y, a.lin_d)
-    # convert normal-ordered y_i d_j into the symmetrized (y_i d_j + d_j y_i)/2:
-    # y d = sym - 1/2 on the diagonal
-    const -= 0.5 * complex(np.trace(qyd))
-    return QuadraticOperator(
-        dims=d, const=const, lin_y=lin_y, lin_d=lin_d, quad_yy=qyy, quad_dd=qdd, quad_yd=qyd
-    )
-
-
-def square_sum(ops: list[QuadraticOperator]) -> QuadraticOperator:
-    """Sum of squares of linear operators."""
-    acc = None
-    for op in ops:
-        sq = linear_product(op, op)
-        acc = sq if acc is None else acc + sq
-    return acc
-
-
-def cross_product(p1, p2, k1, k2) -> QuadraticOperator:
-    """P x K = P1 K2 - P2 K1 for linear operator components."""
-    return linear_product(p1, k2) - linear_product(p2, k1)
+    u, v = 2 * a.coef[0], 2 * b.coef[0]
+    u[0], v[0] = a.coef[0, 0], b.coef[0, 0]
+    uv = np.outer(u, v)
+    coef = 0.5 * (uv + uv.T)
+    coef[0, 0] += 0.5j * (np.dot(u[1 : d + 1], v[d + 1 :]) - np.dot(u[d + 1 :], v[1 : d + 1]))
+    return QuadraticOperator(coef)
 
 
 def op_apply(q: QuadraticOperator, coeffs: np.ndarray, ctx: BasisContext) -> np.ndarray:
     """Apply the operator to coefficient arrays of shape (..., N) in 1D or
     (..., N, N) in 2D with N x N matrices per axis: A @ C on the first axis,
-    C @ B.T on the last, X @ C @ Y.T for a product of factors on two axes."""
-    if q.dims != ctx.dims:
+    C @ B.T on the last, X @ C @ Y.T for a product of factors on two axes.
+    The matrices are the real y and d = d/dy, so p = -i d weighs d by -i."""
+    dims, c = q.dims, q.coef
+    if dims != ctx.dims:
         raise ValueError("operator/context dimension mismatch")
     y, d = ctx.y1d, ctx.d1d
-    on = lambda mat, c, axis: c @ mat.T if axis == ctx.dims - 1 else mat @ c
+    on = lambda mat, arr, axis: arr @ mat.T if axis == dims - 1 else mat @ arr
     out = np.zeros(np.shape(coeffs), dtype=complex)
-    for i in range(q.dims):  # the terms on axis i alone; axis 0 carries the constant
+    for i in range(dims):  # the terms on axis i alone; axis 0 carries the constant
+        yi, pi = 1 + i, 1 + dims + i
         single = (
-            (q.const if i == 0 else 0.0) * np.eye(ctx.n) + q.lin_y[i] * y + q.lin_d[i] * d
-            + q.quad_yy[i, i] * (y @ y) + q.quad_dd[i, i] * (d @ d) + q.quad_yd[i, i] * 0.5 * (y @ d + d @ y)
+            (c[0, 0] if i == 0 else 0.0) * np.eye(ctx.n) + 2 * c[0, yi] * y - 2j * c[0, pi] * d
+            + c[yi, yi] * (y @ y) - c[pi, pi] * (d @ d) - 2j * c[yi, pi] * 0.5 * (y @ d + d @ y)
         )
         out += on(single, coeffs, i)
-        for j in range(i + 1, q.dims):  # factors on axes i and j commute
-            right_of_y = (q.quad_yy[i, j] + q.quad_yy[j, i]) * y + q.quad_yd[i, j] * d
-            right_of_d = (q.quad_dd[i, j] + q.quad_dd[j, i]) * d + q.quad_yd[j, i] * y
+        for j in range(i + 1, dims):  # factors on axes i and j commute
+            yj, pj = 1 + j, 1 + dims + j
+            right_of_y = 2 * c[yi, yj] * y - 2j * c[yi, pj] * d
+            right_of_d = -2 * c[pi, pj] * d - 2j * c[pi, yj] * y
             for left, right in ((y, right_of_y), (d, right_of_d)):
                 if right.any():
                     out += on(left, on(right, coeffs, j), i)
@@ -466,12 +377,11 @@ def exp_apply(
     """psi -> exp(i t M) psi with M the assembled matrix of q, on every state
     of a stack.
 
-    Requires the hermitian-generator flag; the exponential is exactly unitary
-    because it is evaluated through the eigendecomposition of M, one exact
-    sector of M at a time.
+    M must be Hermitian (q with real `coef`); each sector's block is checked
+    before it is factored, and a `ValueError` is raised if it is not.  The
+    exponential is exactly unitary because it is evaluated through the
+    eigendecomposition of M, one exact sector of M at a time.
     """
-    if not q.hermitian_generator:
-        raise ValueError("exp_apply requires an operator flagged hermitian-generator")
     _warn_resolution(psi, "exp_apply input")
     stack = psi.coeffs.shape[: psi.coeffs.ndim - psi.dims]
     vec = psi.coeffs.reshape(stack + (-1,))

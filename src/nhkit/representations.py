@@ -25,14 +25,14 @@ from .funcspace import (
     BasisContext,
     HermiteState,
     QuadraticOperator,
-    cross_product,
     displacement_apply,
     exp_apply,
     ladder_build,
+    linear,
     op_apply,
     op_matrix,
     probe_state,
-    square_sum,
+    product,
 )
 from .group import (
     GroupElement,
@@ -240,18 +240,24 @@ def _apply_nilpotent_2d(cls, labels, n: GroupElement, psi: HermiteState, ctx: Ba
 def _operators_2d(labels: RepLabels) -> dict[str, QuadraticOperator]:
     """Translation and boost generators for the 2D carriers."""
     f, m, tau = labels.f, labels.m, labels.tau
-    lin = QuadraticOperator.linear
     if labels.orbit_class is OrbitClass.F:
-        p1 = lin(2, lin_y=[-m, 0.0])
-        p2 = lin(2, lin_y=[0.0, -m])
-        k1 = lin(2, lin_d=[1j, 0.0])
-        k2 = lin(2, lin_d=[0.0, 1j])
+        p1 = linear(2, y=[-m, 0.0])
+        p2 = linear(2, y=[0.0, -m])
+        k1 = linear(2, p=[-1.0, 0.0])
+        k2 = linear(2, p=[0.0, -1.0])
     else:
-        p1 = lin(2, lin_y=[-m, -f / (2 * tau)], lin_d=[1j / tau, 0.0])
-        p2 = lin(2, lin_y=[-f / (2 * tau), -m], lin_d=[0.0, -1j / tau])
-        k1 = lin(2, lin_y=[0.0, f / 2], lin_d=[1j, 0.0])
-        k2 = lin(2, lin_y=[-f / 2, 0.0], lin_d=[0.0, 1j])
+        p1 = linear(2, y=[-m, -f / (2 * tau)], p=[-1 / tau, 0.0])
+        p2 = linear(2, y=[-f / (2 * tau), -m], p=[0.0, 1 / tau])
+        k1 = linear(2, y=[0.0, f / 2], p=[-1.0, 0.0])
+        k2 = linear(2, y=[-f / 2, 0.0], p=[0.0, -1.0])
     return {"P1": p1, "P2": p2, "K1": k1, "K2": k2}
+
+
+def _invariants(ops: dict[str, QuadraticOperator], tau: float) -> tuple[QuadraticOperator, QuadraticOperator]:
+    """S = P^2 + K^2/tau^2 and X = P x K = P1 K2 - P2 K1 of the linear generators."""
+    p1, p2, k1, k2 = ops["P1"], ops["P2"], ops["K1"], ops["K2"]
+    s_op = product(p1, p1) + product(p2, p2) + (product(k1, k1) + product(k2, k2)) * (1.0 / tau**2)
+    return s_op, product(p1, k2) - product(p2, k1)
 
 
 def generators(labels: RepLabels) -> dict[str, QuadraticOperator]:
@@ -262,9 +268,8 @@ def generators(labels: RepLabels) -> dict[str, QuadraticOperator]:
         raise ValueError(f"generators available for cases A, F, G; got {case}")
     ops = _operators_2d(labels)
     f, m, tau = labels.f, labels.m, labels.tau
-    s_op = square_sum([ops["P1"], ops["P2"]]) + square_sum([ops["K1"], ops["K2"]]) * (1.0 / tau**2)
-    x_op = cross_product(ops["P1"], ops["P2"], ops["K1"], ops["K2"])
-    ident = QuadraticOperator.constant(2, 1.0)
+    s_op, x_op = _invariants(ops, tau)
+    ident = linear(2, 1.0)
     if case is OrbitClass.A:
         delta = tau**2 * m**2 - f**2
         c_val = labels.C1 - (2 * f / (tau**2 * m)) * labels.C2
@@ -276,12 +281,7 @@ def generators(labels: RepLabels) -> dict[str, QuadraticOperator]:
     else:  # case G; the rotation exponent solves the C1 invariant for j
         h_op = (1.0 / f) * (x_op - labels.C2 * ident)
         j_op = (tau**2 / (2 * f)) * (labels.C1 * ident - s_op)
-    out = dict(ops)
-    out["H"] = h_op.flag_hermitian()
-    out["J"] = j_op.flag_hermitian()
-    out["M"] = QuadraticOperator.constant(2, m)
-    out["F"] = QuadraticOperator.constant(2, f)
-    return out
+    return {**ops, "H": h_op, "J": j_op, "M": linear(2, m), "F": linear(2, f)}
 
 
 class InducedRep2D:
@@ -338,17 +338,15 @@ def _label_vec(labels: RepLabels) -> Vec2:
 def _operators_1d(labels: RepLabels) -> dict[str, QuadraticOperator]:
     f, tau = labels.f, labels.tau
     xv = _label_vec(labels)
-    lin = QuadraticOperator.linear
+    p1 = linear(1, xv.x1, p=[-1 / tau])
     if labels.orbit_class in (OrbitClass.B, OrbitClass.D):
-        p1 = lin(1, lin_d=[1j / tau], const=xv.x1)
-        p2 = lin(1, lin_y=[-f / tau], lin_d=[-1j / tau], const=xv.x2)
-        k1 = lin(1, lin_y=[f], lin_d=[1j])
-        k2 = lin(1, lin_d=[1j])
+        p2 = linear(1, xv.x2, y=[-f / tau], p=[1 / tau])
+        k1 = linear(1, y=[f], p=[-1.0])
+        k2 = linear(1, p=[-1.0])
     else:
-        p1 = lin(1, lin_d=[1j / tau], const=xv.x1)
-        p2 = lin(1, lin_y=[-f / tau], lin_d=[1j / tau], const=xv.x2)
-        k1 = lin(1, lin_y=[-f], lin_d=[1j])
-        k2 = lin(1, lin_d=[-1j])
+        p2 = linear(1, xv.x2, y=[-f / tau], p=[-1 / tau])
+        k1 = linear(1, y=[-f], p=[-1.0])
+        k2 = linear(1, p=[1.0])
     return {"P1": p1, "P2": p2, "K1": k1, "K2": k2}
 
 
@@ -359,15 +357,11 @@ def intertwiner_generator(labels: RepLabels) -> QuadraticOperator:
     C/E: -(tau/4f) (S - (2/tau) X - C4'), the hat of H + J/tau.
     """
     f, tau = labels.f, labels.tau
-    ops = _operators_1d(labels)
-    s_op = square_sum([ops["P1"], ops["P2"]]) + square_sum([ops["K1"], ops["K2"]]) * (1.0 / tau**2)
-    x_op = cross_product(ops["P1"], ops["P2"], ops["K1"], ops["K2"])
-    ident = QuadraticOperator.constant(1, 1.0)
+    s_op, x_op = _invariants(_operators_1d(labels), tau)
+    ident = linear(1, 1.0)
     if labels.orbit_class in (OrbitClass.B, OrbitClass.D):
-        gen = (tau / (4 * f)) * (s_op + (2.0 / tau) * x_op - labels.C4 * ident)
-    else:
-        gen = (-tau / (4 * f)) * (s_op - (2.0 / tau) * x_op - labels.C4p * ident)
-    return gen.flag_hermitian()
+        return (tau / (4 * f)) * (s_op + (2.0 / tau) * x_op - labels.C4 * ident)
+    return (-tau / (4 * f)) * (s_op - (2.0 / tau) * x_op - labels.C4p * ident)
 
 
 def _nilpotent_factors_1d(labels: RepLabels, n: GroupElement):

@@ -289,6 +289,13 @@ def test_cli_exit_codes(tmp_path):
     assert _cli("rep-check", "--case", "k", "--labels", '{"h": NaN, "j": 1}', "--samples", "2").returncode == 2
     assert _cli("rep-check", "--case", "f", "--labels", '{"m": Infinity, "C1": 1, "C2": 0}').returncode == 2
     assert _cli("rep-check", "--case", "k", "--labels", '{"h": true, "j": 1}', "--samples", "2").returncode == 2
+    # the algebra tables hold tau^2 and 1/tau^2: 1/tau^2 overflows at 1e-160, tau^2 underflows at 1e-170
+    assert _cli("algebra-check", "--tau", "1e-160").returncode == 2
+    bad.write_text('{"inputs": {"tau": 1e-170, "contraction_speeds": [1e150, 1e154]}}')
+    assert _cli("algebra-check", "--scenario", str(bad)).returncode == 2
+    # a JSON integer too large for a float is not a finite number
+    bad.write_text('{"inputs": {"taus": [1' + "0" * 400 + "]}}")
+    assert _cli("group-check", "--scenario", str(bad), "--samples", "2").returncode == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"

@@ -11,21 +11,34 @@ from nhkit.funcspace import (
     QuadraticOperator,
     ResolutionWarning,
     _sectors,
-    cross_product,
     displacement_apply,
     exp_apply,
     ground_state,
     ladder_build,
-    linear_product,
+    linear,
     op_apply,
     op_matrix,
     parity_apply,
     phase_shift_block,
     probe_state,
-    square_sum,
+    product,
 )
 from nhkit.representations import CASES, case_setup
 from conftest import hermite_fn
+
+
+def quadratic(dims, yy=0.0, pp=0.0, yp=0.0):
+    """sum_ij yy_ij y_i y_j + pp_ij p_i p_j + yp_ij (y_i p_j + p_j y_i)/2 for symmetric yy, pp."""
+    coef = np.zeros((2 * dims + 1,) * 2)
+    coef[1 : dims + 1, 1 : dims + 1] = yy
+    coef[dims + 1 :, dims + 1 :] = pp
+    coef[1 : dims + 1, dims + 1 :] = 0.5 * np.asarray(yp)
+    coef[dims + 1 :, 1 : dims + 1] = 0.5 * np.asarray(yp).T
+    return QuadraticOperator(coef)
+
+
+OSCILLATOR = quadratic(2, yy=np.eye(2), pp=np.eye(2))  # y^2 + p^2
+ROTATION = quadratic(2, yp=[[0.0, -1.0], [1.0, 0.0]])  # y2 p1 - y1 p2
 
 
 def quad_element(f, m, n, lam):
@@ -59,8 +72,7 @@ def test_canonical_commutator_on_interior_block():
 
 def test_oscillator_spectrum():
     ctx = ladder_build(32, 1.0, dims=1)
-    q = QuadraticOperator(dims=1, quad_yy=[[1.0]], quad_dd=[[-1.0]])
-    mat = op_matrix(q, ctx)
+    mat = op_matrix(quadratic(1, yy=1.0, pp=1.0), ctx)
     evals = np.sort(np.linalg.eigvalsh(mat))
     for n in range(16):
         assert abs(evals[n] - (2 * n + 1)) <= 1e-10
@@ -68,17 +80,13 @@ def test_oscillator_spectrum():
 
 def test_constant_operator():
     ctx = ladder_build(8, 1.0, dims=2)
-    mat = op_matrix(QuadraticOperator.constant(2, 2.5 - 1.0j), ctx)
+    mat = op_matrix(linear(2, 2.5 - 1.0j), ctx)
     assert np.allclose(mat, (2.5 - 1.0j) * np.eye(64))
 
 
 def test_rotation_generator_commutes_with_isotropic_oscillator():
     ctx = ladder_build(16, 1.0, dims=2)
-    rot = QuadraticOperator(dims=2, quad_yd=[[0.0, 1.0j], [-1.0j, 0.0]])
-    osc = QuadraticOperator(
-        dims=2, quad_yy=[[1.0, 0.0], [0.0, 1.0]], quad_dd=[[-1.0, 0.0], [0.0, -1.0]]
-    )
-    a, b = op_matrix(rot, ctx), op_matrix(osc, ctx)
+    a, b = op_matrix(ROTATION, ctx), op_matrix(OSCILLATOR, ctx)
     comm = a @ b - b @ a
     idx = [i * 16 + j for i in range(14) for j in range(14)]
     assert np.max(np.abs(comm[np.ix_(idx, idx)])) <= 1e-10
@@ -86,57 +94,53 @@ def test_rotation_generator_commutes_with_isotropic_oscillator():
 
 def test_linear_product_matches_matrix_product(rng):
     ctx = ladder_build(14, 1.1, dims=2)
+    idx = [i * 14 + j for i in range(12) for j in range(12)]
+    draw = lambda: rng.normal(size=2) + 1j * rng.normal(size=2)
     for _ in range(10):
-        a = QuadraticOperator.linear(
-            2,
-            lin_y=rng.normal(size=2) + 1j * rng.normal(size=2),
-            lin_d=rng.normal(size=2) + 1j * rng.normal(size=2),
-            const=complex(rng.normal(), rng.normal()),
-        )
-        b = QuadraticOperator.linear(
-            2,
-            lin_y=rng.normal(size=2) + 1j * rng.normal(size=2),
-            lin_d=rng.normal(size=2) + 1j * rng.normal(size=2),
-            const=complex(rng.normal(), rng.normal()),
-        )
-        lhs = op_matrix(linear_product(a, b), ctx)
+        a = linear(2, complex(rng.normal(), rng.normal()), y=draw(), p=draw())
+        b = linear(2, complex(rng.normal(), rng.normal()), y=draw(), p=draw())
+        lhs = op_matrix(product(a, b), ctx)
         rhs = op_matrix(a, ctx) @ op_matrix(b, ctx)
-        idx = [i * 14 + j for i in range(12) for j in range(12)]
         assert np.max(np.abs((lhs - rhs)[np.ix_(idx, idx)])) <= 1e-12
+    with pytest.raises(ValueError):
+        product(product(a, b), a)
+
+
+def test_square_sum_and_cross_product_consistency(rng):
+    """The sums of products the generators are built from: S = sum of squares, X = P1 K2 - P2 K1."""
+    ctx = ladder_build(14, 1.1, dims=2)
+    idx = [i * 14 + j for i in range(12) for j in range(12)]
+    p1, p2, k1, k2 = linear(2, y=[-1.0, 0.0]), linear(2, y=[0.0, -1.0]), linear(2, p=[-1.0, 0.0]), linear(2, p=[0.0, -1.0])
+    m_p1, m_p2, m_k1, m_k2 = (op_matrix(o, ctx) for o in (p1, p2, k1, k2))
+    s = product(p1, p1) + product(p2, p2) + product(k1, k1) + product(k2, k2)
+    direct = m_p1 @ m_p1 + m_p2 @ m_p2 + m_k1 @ m_k1 + m_k2 @ m_k2
+    assert np.max(np.abs((op_matrix(s, ctx) - direct)[np.ix_(idx, idx)])) <= 1e-12
+    x = product(p1, k2) - product(p2, k1)
+    direct_x = m_p1 @ m_k2 - m_p2 @ m_k1
+    assert np.max(np.abs((op_matrix(x, ctx) - direct_x)[np.ix_(idx, idx)])) <= 1e-12
 
 
 def test_exp_apply_basics(rng):
     ctx = ladder_build(24, 1.0, dims=2)
     psi = probe_state(ctx, rng, kmax=4)
-    osc = QuadraticOperator(
-        dims=2, quad_yy=np.eye(2), quad_dd=-np.eye(2), hermitian_generator=True
-    )
-    assert np.allclose(exp_apply(osc, 0.0, psi, ctx).coeffs, psi.coeffs)
+    assert np.allclose(exp_apply(OSCILLATOR, 0.0, psi, ctx).coeffs, psi.coeffs)
     for t in (0.3, -1.7, 5.0):
-        out = exp_apply(osc, t, psi, ctx)
+        out = exp_apply(OSCILLATOR, t, psi, ctx)
         assert abs(out.norm() - 1.0) <= 1e-12
 
 
 def test_rotation_by_two_pi_returns_state_up_to_phase(rng):
     ctx = ladder_build(24, 1.0, dims=2)
     psi = probe_state(ctx, rng, kmax=5)
-    rot = QuadraticOperator(
-        dims=2, quad_yd=[[0.0, 1.0j], [-1.0j, 0.0]], hermitian_generator=True
-    )
-    out = exp_apply(rot, 2.0 * math.pi, psi, ctx)
+    out = exp_apply(ROTATION, 2.0 * math.pi, psi, ctx)
     assert abs(abs(psi.overlap(out)) - 1.0) <= 1e-10
 
 
 def test_generator_consistency_central_difference(rng):
     ctx = ladder_build(28, 1.0, dims=2)
     psi = probe_state(ctx, rng, kmax=4)
-    q = QuadraticOperator(
-        dims=2,
-        quad_yy=[[1.0, 0.2], [0.2, 0.8]],
-        quad_dd=[[-1.0, 0.1], [0.1, -0.9]],
-        lin_y=[0.3, -0.1],
-        lin_d=[0.2j, -0.15j],
-        hermitian_generator=True,
+    q = quadratic(2, yy=[[1.0, 0.2], [0.2, 0.8]], pp=[[1.0, -0.1], [-0.1, 0.9]]) + linear(
+        2, y=[0.3, -0.1], p=[-0.2, 0.15]
     )
     eps = 1e-4
     plus = exp_apply(q, eps, psi, ctx)
@@ -147,22 +151,22 @@ def test_generator_consistency_central_difference(rng):
 
 
 def test_exp_apply_requires_hermitian_flag(rng):
+    """A complex coef is the non-Hermitian case: exp_apply refuses it."""
     ctx = ladder_build(8, 1.0, dims=1)
+    real = random_hermitian_operator(rng, 1)
     psi = probe_state(ctx, rng, kmax=2)
-    q = QuadraticOperator(dims=1, quad_yy=[[1.0]])
-    with pytest.raises(ValueError):
-        exp_apply(q, 1.0, psi, ctx)
+    for q in (real * 1j, linear(1, y=[1.0j]), real + linear(1, 0.5j)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            exp_apply(q, 1.0, psi, ctx)
 
 
-def test_hermitian_pattern_enforced():
-    with pytest.raises(ValueError):
-        QuadraticOperator(dims=1, lin_d=[1.0], hermitian_generator=True)
-    with pytest.raises(ValueError):
-        QuadraticOperator(dims=1, quad_yy=[[1.0j]], hermitian_generator=True)
-    q = QuadraticOperator(dims=1, lin_d=[1.0j], lin_y=[0.5], hermitian_generator=True)
+def test_hermitian_pattern_enforced(rng):
+    """A real symmetric coef assembles to a Hermitian matrix; a non-symmetric coef is refused."""
     ctx = ladder_build(8, 1.0, dims=1)
-    mat = op_matrix(q, ctx)
+    mat = op_matrix(random_hermitian_operator(rng, 1), ctx)
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticOperator(np.triu(np.ones((3, 3))))
 
 
 def test_displacement_identity_and_gaussian_shift(rng):
@@ -270,13 +274,7 @@ def test_displacement_block_low_columns_have_unit_norm():
 
 
 def test_truncation_convergence_for_resolved_state(rng):
-    q = QuadraticOperator(
-        dims=2,
-        quad_yy=[[1.0, 0.1], [0.1, 1.0]],
-        quad_dd=[[-1.0, 0.05], [0.05, -1.0]],
-        quad_yd=[[0.05j, 0.0], [0.0, -0.05j]],
-        hermitian_generator=True,
-    )
+    q = quadratic(2, yy=[[1.0, 0.1], [0.1, 1.0]], pp=[[1.0, -0.05], [-0.05, 1.0]], yp=np.diag([-0.05, 0.05]))
     results = {}
     coeffs8 = None
     for n in (24, 32):
@@ -310,12 +308,7 @@ def test_parity_and_resolution_tools(rng):
     frac = HermiteState(dims=2, n=16, lam=1.0, coeffs=faint).tail_fraction()
     assert abs(frac - 2e-20) <= 1e-12 * 2e-20
     with pytest.warns(ResolutionWarning):
-        exp_apply(
-            QuadraticOperator(dims=2, quad_yy=np.eye(2), quad_dd=-np.eye(2), hermitian_generator=True),
-            0.1,
-            spiky,
-            ctx,
-        )
+        exp_apply(OSCILLATOR, 0.1, spiky, ctx)
 
 
 def test_state_json_round_trip(rng):
@@ -337,7 +330,7 @@ def test_stacked_state_applies_state_by_state(rng, dims):
     states = [probe_state(ctx, rng, kmax=4) for _ in range(6)]
     stack = replace(states[0], coeffs=np.stack([s.coeffs for s in states]).reshape((2, 3) + (16,) * dims))
     assert stack.tail_fraction() <= 1e-8 and abs(stack.norm() - math.sqrt(6.0)) <= 1e-12
-    gen = QuadraticOperator(dims=dims, quad_yy=np.eye(dims), quad_dd=-0.5 * np.eye(dims), hermitian_generator=True)
+    gen = quadratic(dims, yy=np.eye(dims), pp=0.5 * np.eye(dims))
     phase, shift = rng.uniform(-1, 1, dims), rng.uniform(-1, 1, dims)
     for apply in (lambda s: exp_apply(gen, 0.7, s, ctx), lambda s: displacement_apply(phase, shift, s, ctx)):
         out = apply(stack)
@@ -348,21 +341,17 @@ def test_stacked_state_applies_state_by_state(rng, dims):
         HermiteState(dims=dims, n=16, lam=1.2, coeffs=np.zeros((16,) * dims + (3,)))
 
 
-def test_square_sum_and_cross_product_consistency(rng):
-    ctx = ladder_build(12, 1.0, dims=2)
-    p1 = QuadraticOperator.linear(2, lin_y=[-1.0, 0.0])
-    p2 = QuadraticOperator.linear(2, lin_y=[0.0, -1.0])
-    k1 = QuadraticOperator.linear(2, lin_d=[1.0j, 0.0])
-    k2 = QuadraticOperator.linear(2, lin_d=[0.0, 1.0j])
-    s = square_sum([p1, p2, k1, k2])
-    m_s = op_matrix(s, ctx)
-    direct = sum(op_matrix(o, ctx) @ op_matrix(o, ctx) for o in (p1, p2, k1, k2))
-    idx = [i * 12 + j for i in range(10) for j in range(10)]
-    assert np.max(np.abs((m_s - direct)[np.ix_(idx, idx)])) <= 1e-12
-    x = cross_product(p1, p2, k1, k2)
-    m_x = op_matrix(x, ctx)
-    direct_x = op_matrix(p1, ctx) @ op_matrix(k2, ctx) - op_matrix(p2, ctx) @ op_matrix(k1, ctx)
-    assert np.max(np.abs((m_x - direct_x)[np.ix_(idx, idx)])) <= 1e-12
+@pytest.mark.parametrize("n, lam", [(32, 1.1), (80, 0.8), (96, 1.0)])
+def test_truncated_shift_factors_match_eigh_of_the_gradient(n, lam):
+    """On a pad=0 context the shift factors come from those of y through the
+    Fourier transform; the eigendecomposition of i d itself is the reference."""
+    ctx = ladder_build(n, lam, dims=1, pad=0)
+    w, v = np.linalg.eigh(1j * ctx.d1d)
+    wy, vy = np.linalg.eigh(ctx.y1d)
+    for phase, shift in ((0.0, 0.7), (0.4, -1.3), (-2.0, 2.5)):
+        t_op = (v * np.exp(1j * shift * w)) @ v.conj().T
+        m_op = (vy * np.exp(1j * phase * wy)) @ vy.T
+        assert np.max(np.abs(ctx.phase_shift_1d(phase, shift) - t_op @ m_op)) <= 1e-13
 
 
 def test_basis_validation():
@@ -377,31 +366,17 @@ def test_basis_validation():
 
 
 def random_hermitian_operator(rng, dims: int) -> QuadraticOperator:
-    sym = lambda: (lambda a: a + a.T)(rng.normal(size=(dims, dims)))
-    return QuadraticOperator(
-        dims=dims,
-        const=rng.normal(),
-        lin_y=rng.normal(size=dims),
-        lin_d=1j * rng.normal(size=dims),
-        quad_yy=sym(),
-        quad_dd=sym(),
-        quad_yd=1j * rng.normal(size=(dims, dims)),
-        hermitian_generator=True,
-    )
+    a = rng.normal(size=(2 * dims + 1,) * 2)
+    return QuadraticOperator(a + a.T)
 
 
 def kron_assembly(q: QuadraticOperator, ctx: BasisContext) -> np.ndarray:
-    """Reference: the operator as a sum of products of full-size axis matrices."""
+    """Reference: sum_ab coef[a, b] (Z_a Z_b + Z_b Z_a)/2 over full-size matrices
+    Z = (1, Y_1..Y_d, P_1..P_d), P = -i D, each a kron product of axis matrices."""
     eye = np.eye(ctx.n)
     full = lambda m, ax: m if ctx.dims == 1 else (np.kron(m, eye) if ax == 0 else np.kron(eye, m))
-    ys = [full(ctx.y1d, ax) for ax in range(ctx.dims)]
-    ds = [full(ctx.d1d, ax) for ax in range(ctx.dims)]
-    mat = q.const * np.eye(ctx.n**ctx.dims) + sum(q.lin_y[i] * ys[i] + q.lin_d[i] * ds[i] for i in range(ctx.dims))
-    for i in range(ctx.dims):
-        for j in range(ctx.dims):
-            mat = mat + q.quad_yy[i, j] * ys[i] @ ys[j] + q.quad_dd[i, j] * ds[i] @ ds[j]
-            mat = mat + q.quad_yd[i, j] * 0.5 * (ys[i] @ ds[j] + ds[j] @ ys[i])
-    return mat
+    z = [np.eye(ctx.n**ctx.dims)] + [full(m, ax) for m in (ctx.y1d, -1j * ctx.d1d) for ax in range(ctx.dims)]
+    return sum(q.coef[a, b] * 0.5 * (z[a] @ z[b] + z[b] @ z[a]) for a in range(len(z)) for b in range(len(z)))
 
 
 def test_op_matrix_matches_kron_product_assembly(rng):
@@ -409,6 +384,7 @@ def test_op_matrix_matches_kron_product_assembly(rng):
         ctx = ladder_build(n, 1.3, dims=dims)
         for _ in range(5):
             q = random_hermitian_operator(rng, dims)
+            q = q + random_hermitian_operator(rng, dims) * 1j  # complex coefficients assemble the same way
             assert np.max(np.abs(op_matrix(q, ctx) - kron_assembly(q, ctx))) <= 1e-13
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nhkit.coadjoint import OrbitClass
-from nhkit.funcspace import HermiteState, ladder_build, probe_state
+from nhkit.funcspace import HermiteState, ladder_build, linear, probe_state
 from nhkit.group import (
     GroupElement,
     Variant,
@@ -158,11 +158,11 @@ def test_nilpotent_rejects_time_and_rotation(ctx2d_a, rng):
 # --------------------------------------------------------------------------
 
 def test_case_f_generators_are_position_and_gradient():
+    # P = -m y and K = i grad = -p, with p = -i grad
     ops = generators(LAB_F)
-    assert np.allclose(ops["P1"].lin_y, [-LAB_F.m, 0.0])
-    assert np.allclose(ops["P1"].lin_d, [0.0, 0.0])
-    assert np.allclose(ops["K1"].lin_d, [1.0j, 0.0])
-    assert np.allclose(ops["K2"].lin_d, [0.0, 1.0j])
+    assert np.array_equal(ops["P1"].coef, linear(2, y=[-LAB_F.m, 0.0]).coef)
+    assert np.array_equal(ops["K1"].coef, linear(2, p=[-1.0, 0.0]).coef)
+    assert np.array_equal(ops["K2"].coef, linear(2, p=[0.0, -1.0]).coef)
 
 
 def test_case_a_generators_reduce_when_f_vanishes():
@@ -170,12 +170,13 @@ def test_case_a_generators_reduce_when_f_vanishes():
     # the rotated-gradient term -(i/tau) grad^R
     lab = labels_case_f(m=1.0, C1=1.0, C2=0.0)
     ops_a_pattern = generators(labels_case_a(f=3.0, m=1.0, C1=1.0, C2=0.0))
-    p1 = ops_a_pattern["P1"]
-    assert p1.lin_y[0] == pytest.approx(-1.0)  # -m y1 part survives any f
-    assert p1.lin_d[0] == pytest.approx(1.0j / TAU)
+    # coefficients of the linear P1 over z = (1, y1, y2, p1, p2) are 2 coef[0]
+    p1 = 2 * ops_a_pattern["P1"].coef[0]
+    assert p1[1] == pytest.approx(-1.0)  # -m y1 part survives any f
+    assert p1[3] == pytest.approx(-1.0 / TAU)  # -(i/tau) d/dy1 = -p1/tau
     # f-dependent part is linear in f
-    p1_b = generators(labels_case_a(f=1.5, m=1.0, C1=1.0, C2=0.0))["P1"]
-    assert p1.lin_y[1] / p1_b.lin_y[1] == pytest.approx(2.0)
+    p1_b = 2 * generators(labels_case_a(f=1.5, m=1.0, C1=1.0, C2=0.0))["P1"].coef[0]
+    assert p1[2] / p1_b[2] == pytest.approx(2.0)
 
 
 def _interior(mat, n, margin=2):
