@@ -90,14 +90,25 @@ def _rule(test, need: str, typed=lambda x: x):
     return rule
 
 
-def _count(low: int):
-    return _rule(lambda x: type(x) is int and x >= low, f"an integer >= {low}")  # not a bool
+def _count(low: int, high: int):
+    return _rule(lambda x: type(x) is int and low <= x <= high, f"an integer from {low} to {high}")  # not a bool
+
+
+# Ceilings on the inputs that size an array or a loop, each at or far above its default.  A value
+# over one is a scenario error, raised before anything of that size is built.
+BASIS_MAX = 96  # hermite_n: the case table's largest; a 2D generator matrix takes 16 N^4 bytes, 1.4 GB at 96
+NODES_MAX = 1024  # quadrature nodes: a grid row holds a (nodes, N, N) kernel batch, 150 MB at 1024 and N = 96
+GRID_MAX = 1024  # rep-check's grid: cases b, c loop over its nodes per application; case h holds grid^2 values
+# samples, rank_samples: a loop that keeps nothing per draw, so the ceiling bounds run time:
+# 10^5 pairs of rep-check case b take over an hour at about 50 ms each on a 2-core machine
+DRAWS_MAX = 10**5
+ROWS_MAX = 10**6  # evolve's t_max/dt: one CSV row of about 100 bytes per step, 100 MB at the ceiling
 
 
 _real = _rule(_is_real, "a finite number", float)
 _positive = _rule(lambda x: _is_real(x) and x > 0, "a positive number", float)
 _nonzero = _rule(lambda x: _is_real(x) and x != 0, "a nonzero number", float)
-_grid = _rule(lambda x: type(x) is int and x > 0 and x % 8 == 0, "a positive multiple of 8")
+_grid = _rule(lambda x: type(x) is int and 0 < x <= GRID_MAX and x % 8 == 0, f"a multiple of 8 from 8 to {GRID_MAX}")
 _vec = _rule(
     lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_real, x)),
     "a 2-vector of finite numbers",
@@ -109,7 +120,7 @@ _positives = _rule(_is_positives, "a nonempty list of positive numbers")
 # the contraction slope is taken between the first and the last speed c, and the tables divide by c^2
 _speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1] and _squares_finite(x),
                 "positive numbers whose first and last differ and whose squares are positive and finite")
-# the algebra tables hold tau^2 and 1/tau^2
+# the algebra tables and the representations' labels and generators hold tau^2 and 1/tau^2
 _tau = _rule(lambda x: _is_real(x) and x > 0 and _squares_finite([x, 1.0 / x]),
              "a positive number whose square and inverse square are positive and finite", float)
 _case = _rule(lambda x: str(x).lower() in CASES, "a case a..k", lambda x: str(x).lower())
@@ -178,6 +189,7 @@ def _run_orbit_atlas(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
 
 def _run_evolve(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
     t_max, dt = inputs["t_max"], inputs["dt"]
+    _require(t_max / dt <= ROWS_MAX, f"t_max/dt, the row count, must be at most {ROWS_MAX}; got {t_max}/{dt}")
     x0 = PhasePoint(
         q=inputs["q0"], p=inputs["p0"], m=inputs["m"], tau=inputs["tau"], C1=inputs["C1"], C2=inputs["C2"]
     )
@@ -403,25 +415,28 @@ SPECS = {
     }, {"conservation": 1e-9}),
     "algebra-check": (_run_algebra_check, {
         "tau": (_tau, 1.0), "contraction_speeds": (_speeds, [1e2, 1e3, 1e4]),
-        "rank_samples": (_count(1), 200),
+        "rank_samples": (_count(1, DRAWS_MAX), 200),
     }, {"jacobi": 1e-13, "slope": 0.1}),
     "rep-check": (_run_rep_check, {
-        "case": (_case, "f"), "tau": (_positive, 1.0), "samples": (_count(1), 50), "scale": (_real, 0.5),
+        "case": (_case, "f"), "tau": (_tau, 1.0), "samples": (_count(1, DRAWS_MAX), 50), "scale": (_real, 0.5),
         "grid": (_grid, 16),
         # the case's defaults, None for cases h..k, which have no Hermite basis
-        "hermite_n": (_count(4), lambda inputs: CASES[inputs["case"]].n),
-        "probe_kmax": (_count(0), lambda inputs: CASES[inputs["case"]].kmax),
+        "hermite_n": (_count(4, BASIS_MAX), lambda inputs: CASES[inputs["case"]].n),
+        "probe_kmax": (_count(0, BASIS_MAX - 1), lambda inputs: CASES[inputs["case"]].kmax),  # below hermite_n
         "labels": (lambda x, where: x, None),  # checked against the case's factory by case_labels
     }, {
         "unitarity": 1e-10, "generator": 1e-5,
         "homomorphism": lambda inputs: CASES[inputs["case"]].homomorphism,
     }),
     "moyal-check": (_run_moyal_check, {
-        "m": (_nonzero, 1.0), "tau": (_positive, 1.0),  # the basis scale sqrt(|m| tau) must be positive
-        "hermite_n": (_count(4), 32), "samples": (_count(1), 10), "box": (_positive, 3.0), "nodes": (_count(1), 96),
-        "roundtrip_box": (_positive, 5.0), "roundtrip_nodes": (_count(1), 96),
+        "m": (_nonzero, 1.0), "tau": (_tau, 1.0),  # the basis scale sqrt(|m| tau) must be positive
+        "hermite_n": (_count(4, BASIS_MAX), 32), "samples": (_count(1, DRAWS_MAX), 10),
+        "box": (_positive, 3.0), "nodes": (_count(1, NODES_MAX), 96),
+        "roundtrip_box": (_positive, 5.0), "roundtrip_nodes": (_count(1, NODES_MAX), 96),
     }, {"covariance": 1e-6, "isotropy": 1e-4, "trikernel": 1e-2, "trace_smeared": 0.05, "roundtrip": 0.05}),
-    "group-check": (_run_group_check, {"samples": (_count(1), 2000), "taus": (_positives, [0.5, 1.0, 2.0])}, {
+    "group-check": (_run_group_check, {
+        "samples": (_count(1, DRAWS_MAX), 2000), "taus": (_positives, [0.5, 1.0, 2.0]),
+    }, {
         "associativity": 1e-10, "identity": 1e-10, "inverse": 1e-10, "action": 1e-11, "projection": 1e-12,
     }),
 }

@@ -57,9 +57,7 @@ class Vec2:
         return Vec2(c * self.x1 - s * self.x2, s * self.x1 + c * self.x2)
 
     def perp(self) -> "Vec2":
-        """Rotation by +pi/2: (-x2, x1).  Satisfies u.perp().dot(v) == u x v
-        read the other way: u.cross(v) == v.dot(u.perp())... kept consistent
-        with u^{pi/2} = (-u2, u1)."""
+        """Rotation by +pi/2, u^{pi/2} = (-u2, u1), so that u.cross(v) == v.dot(u.perp())."""
         return Vec2(-self.x2, self.x1)
 
     def perp_neg(self) -> "Vec2":

@@ -4,11 +4,13 @@ as explicit characters.
 
 Group elements are given in the coordinates of the displayed group law,
 g = center * time * (translation boost) * rotation.  The representation
-formulas compose nilpotent phase/shift factors with exponentials of the
-quadratic intertwining generators in the factorization
-g = n * time * rotation, so every application first rewrites the element
-through the group law itself (`nk_decompose`); this is what makes the
-homomorphism property hold exactly at the operator level.
+formulas compose the nilpotent factor with exponentials of the quadratic
+intertwining generators in the factorization g = n * time * rotation, so
+every application first rewrites the element through the group law itself
+(`nk_decompose`); this is what makes the homomorphism property hold exactly
+at the operator level.  The nilpotent factor is read off the generator
+table: U(n) = e^{i(f alpha + m(theta - a.v/2))} exp(i(a.P + v.K)) with the
+linear P, K of the carrier, one phase/shift displacement (`_nilpotent_apply`).
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def labels_case_k(h: float, j: float, tau: float = 1.0) -> RepLabels:
 
 
 # --------------------------------------------------------------------------
-# element factorization g = n * time(b) * rotation(phi)
+# element factorization g = n * time(b) * rotation(phi), and the factor n
 # --------------------------------------------------------------------------
 
 def nk_decompose(g: GroupElement) -> tuple[GroupElement, float, float]:
@@ -208,34 +210,30 @@ def _require_stratum(labels: RepLabels, g: GroupElement):
         raise StratumError(f"case {labels.orbit_class.value} acts on oscillating elements of tau {labels.tau}")
 
 
+def _nilpotent_rows(ops: dict[str, QuadraticOperator]) -> np.ndarray:
+    """The real coefficient rows coef[0] of P1, P2, K1, K2: shape (4, 2 dims + 1)."""
+    return np.array([ops[name].coef[0].real for name in ("P1", "P2", "K1", "K2")])
+
+
+def _nilpotent_apply(rows: np.ndarray, labels: RepLabels, n: GroupElement, psi: HermiteState,
+                     ctx: BasisContext) -> HermiteState:
+    """U(n) psi for nilpotent n = (alpha, theta, a, v), read off `rows` (`_nilpotent_rows`).
+
+    On the nilpotent subgroup the group law adds v_1.a_2 to theta_1 + theta_2, so theta is not an
+    exponential coordinate: n = exp(alpha F + (theta - a.v/2) M + a.P + v.K), and U(n) is
+    e^{i(f alpha + m(theta - a.v/2))} exp(i X) with X = a.P + v.K = c + u.y + w.p linear.  By
+    Baker-Campbell-Hausdorff exp(i X) = e^{i(c + u.s/2)} T_s e^{i u.y}, s = -w: one displacement."""
+    dims = ctx.dims
+    x = np.array([n.a.x1, n.a.x2, n.v.x1, n.v.x2]) @ rows
+    c, u, s = x[0], 2.0 * x[1 : dims + 1], -2.0 * x[dims + 1 :]
+    out = displacement_apply(u, s, psi, ctx)
+    scalar = labels.f * n.alpha + labels.m * (n.theta - 0.5 * n.a.dot(n.v)) + c + 0.5 * float(u @ s)
+    return replace(out, coeffs=out.coeffs * cmath.exp(1j * scalar))
+
+
 # --------------------------------------------------------------------------
 # 2D carriers: cases A, F, G and the nilpotent representation
 # --------------------------------------------------------------------------
-
-def _nilpotent_factors(cls: OrbitClass, f: float, m: float, tau: float, n: GroupElement):
-    """Scalar phase exponent, linear phase vector w and shift s for the
-    nilpotent factor of the 2D representations: the operator is
-    e^{i(scalar)} M_{e^{i w.y}} T_s."""
-    a, v = n.a, n.v
-    a_rev = a.rev()
-    if cls is OrbitClass.F:
-        scalar = m * n.theta
-        w = a * (-m)
-        s = v
-        return scalar, w, s
-    # cases A and G share the f-pattern; A adds the m-phase, G has m = 0
-    scalar = f * (n.alpha + 0.5 / tau * v.cross(a_rev)) + m * (n.theta - 0.5 / tau * a_rev.dot(a))
-    w = (0.5 * v.perp() - (0.5 / tau) * a_rev.perp_neg()) * f - a * m
-    s = v - a_rev * (1.0 / tau)
-    return scalar, w, s
-
-
-def _apply_nilpotent_2d(cls, labels, n: GroupElement, psi: HermiteState, ctx: BasisContext) -> HermiteState:
-    scalar, w, s = _nilpotent_factors(cls, labels.f, labels.m, labels.tau, n)
-    out = displacement_apply((w.x1, w.x2), (s.x1, s.x2), psi, ctx)
-    coeff = cmath.exp(1j * (scalar + w.dot(s)))
-    return replace(out, coeffs=out.coeffs * coeff)
-
 
 def _operators_2d(labels: RepLabels) -> dict[str, QuadraticOperator]:
     """Translation and boost generators for the 2D carriers."""
@@ -295,6 +293,7 @@ class InducedRep2D:
         self.labels = labels
         self.ctx = ctx
         self.ops = generators(labels)
+        self.rows = _nilpotent_rows(self.ops)
 
     def apply(self, g: GroupElement, psi: HermiteState) -> HermiteState:
         _require_stratum(self.labels, g)
@@ -304,47 +303,39 @@ class InducedRep2D:
             out = exp_apply(self.ops["J"], phi, out, self.ctx)
         if b != 0.0:
             out = exp_apply(self.ops["H"], b, out, self.ctx)
-        return _apply_nilpotent_2d(self.labels.orbit_class, self.labels, n_star, out, self.ctx)
+        return _nilpotent_apply(self.rows, self.labels, n_star, out, self.ctx)
 
     def generator_matrix(self, direction: str) -> np.ndarray:
         return op_matrix(self.ops[direction], self.ctx)
 
 
-def nilpotent_rep_apply(
-    labels: RepLabels, g: GroupElement, psi: HermiteState, ctx: BasisContext
-) -> HermiteState:
+def nilpotent_rep_apply(labels: RepLabels, g: GroupElement, psi: HermiteState, ctx: BasisContext) -> HermiteState:
     """Representation of the nilpotent subgroup for class-A labels."""
     if labels.orbit_class is not OrbitClass.A:
         raise StratumError("nilpotent representation carries class-A labels")
     if g.b != 0.0 or g.phi != 0.0:
         raise ValueError("nilpotent elements have b = phi = 0")
     _require_stratum(labels, g)
-    return _apply_nilpotent_2d(OrbitClass.A, labels, g, psi, ctx)
+    return _nilpotent_apply(_nilpotent_rows(_operators_2d(labels)), labels, g, psi, ctx)
 
 
 # --------------------------------------------------------------------------
 # 1D inner machinery: cases B, C, D, E
 # --------------------------------------------------------------------------
 
-def _label_vec(labels: RepLabels) -> Vec2:
-    cls = labels.orbit_class
-    if cls is OrbitClass.B:
-        return Vec2(math.sqrt(labels.C3), 0.0)
-    if cls is OrbitClass.C:
-        return Vec2(math.sqrt(labels.C3p), 0.0)
-    return Vec2.zero()
-
-
 def _operators_1d(labels: RepLabels) -> dict[str, QuadraticOperator]:
-    f, tau = labels.f, labels.tau
-    xv = _label_vec(labels)
-    p1 = linear(1, xv.x1, p=[-1 / tau])
-    if labels.orbit_class in (OrbitClass.B, OrbitClass.D):
-        p2 = linear(1, xv.x2, y=[-f / tau], p=[1 / tau])
+    """Translation and boost generators of the inner representation on one
+    variable: cases B/D on the x-side, C/E mirrored; P1 carries the label
+    sqrt(C3) of case B and sqrt(C3') of case C."""
+    f, tau, cls = labels.f, labels.tau, labels.orbit_class
+    label = math.sqrt({OrbitClass.B: labels.C3, OrbitClass.C: labels.C3p}.get(cls, 0.0))
+    p1 = linear(1, label, p=[-1 / tau])
+    if cls in (OrbitClass.B, OrbitClass.D):
+        p2 = linear(1, y=[-f / tau], p=[1 / tau])
         k1 = linear(1, y=[f], p=[-1.0])
         k2 = linear(1, p=[-1.0])
     else:
-        p2 = linear(1, xv.x2, y=[-f / tau], p=[-1 / tau])
+        p2 = linear(1, y=[-f / tau], p=[-1 / tau])
         k1 = linear(1, y=[-f], p=[-1.0])
         k2 = linear(1, p=[1.0])
     return {"P1": p1, "P2": p2, "K1": k1, "K2": k2}
@@ -364,45 +355,12 @@ def intertwiner_generator(labels: RepLabels) -> QuadraticOperator:
     return (-tau / (4 * f)) * (s_op - (2.0 / tau) * x_op - labels.C4p * ident)
 
 
-def _nilpotent_factors_1d(labels: RepLabels, n: GroupElement):
-    """Scalar exponent, linear phase w and shift s of the inner nilpotent
-    representation on one variable (cases B/D on the x-side, C/E mirrored).
-
-    The central theta enters through e^{i m theta} with m = +-f/tau, which the
-    cocycle of the group law requires."""
-    f, tau = labels.f, labels.tau
-    a1, a2 = n.a.x1, n.a.x2
-    v1, v2 = n.v.x1, n.v.x2
-    lab = _label_vec(labels)
-    if labels.orbit_class in (OrbitClass.B, OrbitClass.D):
-        m_eff = f / tau
-        scalar = (
-            f * (n.alpha - 0.5 * (v1 * v1 + v1 * v2 + (a2 * a2 - a1 * a2) / tau**2) + (v1 / tau) * (a2 - a1))
-            + m_eff * n.theta
-            + lab.dot(n.a)
-        )
-        w = f * (v1 - a2 / tau)
-        s = v1 + v2 + a1 / tau - a2 / tau
-    else:
-        m_eff = -f / tau
-        scalar = (
-            f * (n.alpha + 0.5 * (v1 * v1 - v1 * v2 + (a2 * a2 + a1 * a2) / tau**2) + (v1 / tau) * (a1 + a2))
-            + m_eff * n.theta
-            + lab.dot(n.a)
-        )
-        w = -f * (v1 + a2 / tau)
-        s = v1 - v2 + (a1 + a2) / tau
-    return scalar, w, s
-
-
 def inner_rep_apply(labels: RepLabels, n: GroupElement, psi: HermiteState, ctx: BasisContext) -> HermiteState:
     """Inner nilpotent representation on L^2(R) (cases B/C/D/E)."""
     if n.b != 0.0 or n.phi != 0.0:
         raise ValueError("nilpotent elements have b = phi = 0")
     _require_stratum(labels, n)
-    scalar, w, s = _nilpotent_factors_1d(labels, n)
-    out = displacement_apply([w], [s], psi, ctx)
-    return replace(out, coeffs=out.coeffs * cmath.exp(1j * (scalar + w * s)))
+    return _nilpotent_apply(_nilpotent_rows(_operators_1d(labels)), labels, n, psi, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -464,6 +422,7 @@ class InducedRepBC:
         self.n_t = n_t
         self.spacing = 2.0 * math.pi / n_t
         self.w_gen = intertwiner_generator(labels)
+        self.rows = _nilpotent_rows(_operators_1d(labels))
         self._sign = 1.0 if labels.orbit_class is OrbitClass.B else -1.0
 
     def coset_shift(self, g: GroupElement) -> float:
@@ -490,7 +449,7 @@ class InducedRepBC:
             psi = replace(state, coeffs=shifted[i])
             if b_eta != 0.0:
                 psi = exp_apply(self.w_gen, b_eta, psi, self.ctx)
-            psi = inner_rep_apply(self.labels, n_eta, psi, self.ctx)
+            psi = _nilpotent_apply(self.rows, self.labels, n_eta, psi, self.ctx)
             out[i] = psi.coeffs * cmath.exp(1j * b_eta * self.labels.kappa1)
         return replace(state, coeffs=out)
 
@@ -512,6 +471,7 @@ class InducedRepDE:
         self.labels = labels
         self.ctx = ctx
         self.w_gen = intertwiner_generator(labels)
+        self.rows = _nilpotent_rows(_operators_1d(labels))
 
     def apply(self, g: GroupElement, psi: HermiteState) -> HermiteState:
         _require_stratum(self.labels, g)
@@ -526,7 +486,7 @@ class InducedRepDE:
         else:
             out = exp_apply(self.w_gen, beta_plus, psi, self.ctx) if beta_plus != 0.0 else psi
             scalar = beta_minus * lab.C5p
-        out = inner_rep_apply(lab, n_star, out, self.ctx)
+        out = _nilpotent_apply(self.rows, lab, n_star, out, self.ctx)
         character = b * lab.kappa1 + phi * lab.kappa2
         return replace(out, coeffs=out.coeffs * cmath.exp(1j * (scalar + character)))
 

@@ -187,6 +187,30 @@ def test_validate_scenario_rejects_unknown_inputs():
     validate_scenario({"command": "group-check", "tolerances": {"associativity": 1e-30}})
 
 
+HUGE = 10**30  # far above every ceiling, so each probe is rejected before anything is allocated
+
+
+@pytest.mark.parametrize("command,inputs", [
+    ("rep-check", {"case": "f", "hermite_n": HUGE}),  # exited 3, "Maximum allowed size exceeded"
+    ("rep-check", {"case": "b", "hermite_n": HUGE}),
+    ("rep-check", {"case": "f", "probe_kmax": HUGE}),
+    ("rep-check", {"case": "h", "probe_kmax": HUGE}),  # read by no case h..k, still checked
+    ("rep-check", {"case": "f", "samples": HUGE}),
+    ("rep-check", {"case": "b", "grid": 8 * HUGE}),
+    ("moyal-check", {"hermite_n": HUGE}),
+    ("moyal-check", {"nodes": HUGE}),
+    ("moyal-check", {"roundtrip_nodes": HUGE}),
+    ("moyal-check", {"samples": HUGE}),
+    ("group-check", {"samples": HUGE}),
+    ("algebra-check", {"rank_samples": HUGE}),
+    ("evolve", {"t_max": 1e300, "dt": 1e-300}),  # the row count is checked before the loop
+    ("evolve", {"dt": 1e-300}),
+])
+def test_sizing_inputs_have_ceilings(command, inputs):
+    with pytest.raises(ScenarioError, match="at most|from"):
+        run({"command": command, "inputs": inputs})
+
+
 @pytest.mark.parametrize("inputs", [
     {"contraction_speeds": [1e150, 1e160]},  # c^2 overflows
     {"contraction_speeds": [1e-200, 1e-190]},  # c^2 underflows to 0
@@ -296,6 +320,10 @@ def test_cli_exit_codes(tmp_path):
     # a JSON integer too large for a float is not a finite number
     bad.write_text('{"inputs": {"taus": [1' + "0" * 400 + "]}}")
     assert _cli("group-check", "--scenario", str(bad), "--samples", "2").returncode == 2
+    # the representations hold tau^2 and 1/tau^2 too: these three exited 3 before the rule
+    assert _cli("rep-check", "--case", "h", "--tau", "1e160", "--samples", "5").returncode == 2
+    assert _cli("rep-check", "--case", "b", "--tau", "1e-160", "--samples", "2").returncode == 2
+    assert _cli("moyal-check", "--tau", "1e300", "--samples", "1", "--hermite-n", "8", "--nodes", "8").returncode == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"

@@ -21,6 +21,7 @@ from nhkit.group import (
 )
 from nhkit.representations import (
     CASES,
+    _operators_1d,
     CircleGridHermite,
     CircleGridScalar,
     InducedRep2D,
@@ -151,6 +152,31 @@ def test_nilpotent_rejects_time_and_rotation(ctx2d_a, rng):
         nilpotent_rep_apply(LAB_A, pure_time(0.1), psi, ctx2d_a)
     with pytest.raises(StratumError):
         nilpotent_rep_apply(LAB_F, GroupElement.identity(), psi, ctx2d_a)
+
+
+@pytest.mark.parametrize("pad", [None, 0])
+@pytest.mark.parametrize("case", "abcdefg")
+def test_nilpotent_factor_is_the_exponential_of_its_generator(case, pad):
+    """U(n) = exp(i X) at finite n = (alpha, theta, a, v), X = (f alpha + m(theta - a.v/2)) + a.P + v.K
+    with P, K from the generator table (the generator checks compare first derivatives only)."""
+    row = CASES[case]
+    labels = row.factory(**row.labels)
+    dims = 2 if row.carrier is InducedRep2D else 1
+    ctx = ladder_build(24 if dims == 2 else row.n, row.lam(labels), dims=dims, pad=pad)
+    if dims == 2:
+        ops, apply = generators(labels), InducedRep2D(labels, ctx).apply
+    else:
+        ops, apply = _operators_1d(labels), lambda n, psi: inner_rep_apply(labels, n, psi, ctx)
+    rng = np.random.default_rng(11)
+    psi = probe_state(ctx, rng, kmax=1)
+    for _ in range(3):
+        alpha, theta, a1, a2, v1, v2 = rng.uniform(-0.5, 0.5, 6).tolist()
+        n = GroupElement(alpha, theta, 0.0, Vec2(a1, a2), Vec2(v1, v2), 0.0)
+        x_op = (labels.f * alpha + labels.m * (theta - 0.5 * (a1 * v1 + a2 * v2))) * linear(dims, 1.0)
+        for name, coord in zip(("P1", "P2", "K1", "K2"), (a1, a2, v1, v2)):
+            x_op = x_op + coord * ops[name]
+        err = float(np.linalg.norm(apply(n, psi).coeffs - exp_apply(x_op, 1.0, psi, ctx).coeffs))
+        assert err <= 1e-12, (case, pad, err)
 
 
 # --------------------------------------------------------------------------
