@@ -53,7 +53,7 @@ from .moyal import (
     tri_kernel_closed_form,
     weyl_symbol_axis,
 )
-from .representations import CASES, InducedRep2D, check_case, labels_case_f
+from .representations import CASES, InducedRep2D, basis_scale, check_case
 
 
 class ScenarioError(ValueError):
@@ -120,7 +120,7 @@ _positives = _rule(_is_positives, "a nonempty list of positive numbers")
 # the contraction slope is taken between the first and the last speed c, and the tables divide by c^2
 _speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1] and _squares_finite(x),
                 "positive numbers whose first and last differ and whose squares are positive and finite")
-# the algebra tables and the representations' labels and generators hold tau^2 and 1/tau^2
+# the algebra tables, the representations and the oscillator's energy hold tau^2 and 1/tau^2
 _tau = _rule(lambda x: _is_real(x) and x > 0 and _squares_finite([x, 1.0 / x]),
              "a positive number whose square and inverse square are positive and finite", float)
 _case = _rule(lambda x: str(x).lower() in CASES, "a case a..k", lambda x: str(x).lower())
@@ -316,15 +316,24 @@ def _run_algebra_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, 
 
 def case_labels(case: str, given: dict | None = None, tau: float = 1.0):
     """Canonical labels of `case`, or labels from the JSON fields `given`: the
-    keywords of its factory, with `kappa` for kappa_vec and 2-lists for vectors."""
-    factory = CASES[case].factory
-    if given is None:
-        return factory(**CASES[case].labels, tau=tau)
-    params = inspect.signature(factory).parameters
-    names = {("kappa" if p == "kappa_vec" else p): p for p in params if p != "tau"}
-    table = {key: (_vec if key in ("rho", "kappa") else _real, params[p].default) for key, p in names.items()}
-    fields = _fields(table, given, f"case {case} label")
-    return factory(**{names[key]: value for key, value in fields.items()}, tau=tau)
+    keywords of its factory, with `kappa` for kappa_vec and 2-lists for vectors.
+    Labels off the case's stratum, or whose carrier's generators or basis scale
+    are not finite, are a scenario error."""
+    row = CASES[case]
+    kwargs = row.labels
+    if given is not None:
+        params = inspect.signature(row.factory).parameters
+        names = {("kappa" if p == "kappa_vec" else p): p for p in params if p != "tau"}
+        table = {key: (_vec if key in ("rho", "kappa") else _real, params[p].default) for key, p in names.items()}
+        kwargs = {names[key]: value for key, value in _fields(table, given, f"case {case} label").items()}
+    try:  # a StratumError of the factory, or a generator coefficient that is not finite
+        labels = row.factory(**kwargs, tau=tau)
+        with np.errstate(all="ignore"):
+            scale = 1.0 if row.n is None else basis_scale(labels)  # builds the carrier's generators
+    except ValueError as exc:
+        raise ScenarioError(f"case {case} labels {kwargs}: {exc}") from exc
+    _require(0.0 < scale < math.inf, f"case {case} labels {kwargs} give the basis scale {scale}")
+    return labels
 
 
 def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
@@ -345,10 +354,10 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
 def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
     m, tau, n_herm, box, nodes = (inputs[key] for key in ("m", "tau", "hermite_n", "box", "nodes"))
     rng = np.random.default_rng(seed)
-    labels = labels_case_f(**{**CASES["f"].labels, "m": m}, tau=tau)
+    labels = case_labels("f", {**CASES["f"].labels, "m": m}, tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
-        ctx = ladder_build(n_herm, CASES["f"].lam(labels), dims=2)
+        ctx = ladder_build(n_herm, basis_scale(labels), dims=2)
         rep = InducedRep2D(labels, ctx)
         psi = probe_state(ctx, rng, kmax=3)
         cov = iso = 0.0
@@ -409,7 +418,7 @@ SPECS = {
         "base": (_object(ATLAS_BASE), {"h": 0.3, "p": Vec2(1.0, 0.0), "k": Vec2(0.0, 0.5), "j": 0.2, "tau": 1.0}),
     }, {"classify": 1e-8}),
     "evolve": (_run_evolve, {
-        "m": (_nonzero, 1.0), "tau": (_positive, 1.0), "C1": (_real, 0.0), "C2": (_real, 0.0),
+        "m": (_nonzero, 1.0), "tau": (_tau, 1.0), "C1": (_real, 0.0), "C2": (_real, 0.0),
         "q0": (_vec, Vec2(0.0, 0.0)), "p0": (_vec, Vec2(1.0, 0.0)), "dt": (_positive, 1e-3),
         "t_max": (_positive, lambda inputs: 2.0 * math.pi * inputs["tau"]),  # one period
     }, {"conservation": 1e-9}),

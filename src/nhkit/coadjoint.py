@@ -163,10 +163,30 @@ def time_translation(t: float, tau: float = 1.0) -> GroupElement:
     return GroupElement(0.0, 0.0, t, Vec2.zero(), Vec2.zero(), 0.0, Variant.OSCILLATING, tau)
 
 
-def _quadratics(xi: DualPoint) -> tuple[float, float, float]:
-    """(p^2 + k^2/tau^2, p x k, tau)."""
-    tau = xi.tau
-    return xi.p.sq() + xi.k.sq() / tau**2, xi.p.cross(xi.k), tau
+def quadratics(p: Vec2, k: Vec2, tau: float) -> tuple[float, float]:
+    """(quad, cross) = (p^2 + k^2/tau^2, p x k): the invariants (C1, C2) where f = m = 0, and the
+    part of every other stratum's invariants that does not hold h or j."""
+    return p.sq() + k.sq() / tau**2, p.cross(k)
+
+
+def casimir_matrix(f: float, m: float, tau: float) -> tuple[float, float, float, float]:
+    """M, row by row, of the invariants of strata A, F, G, affine in (h, j): (C1, C2) = (quad, cross)
+    + M (h, j).  `classify` evaluates it; `representations.generators` solves it for H and J."""
+    return -2.0 * m, (2.0 / tau**2) * f, -f, m
+
+
+def c4_form(f: float, tau: float, sigma: float) -> tuple[float, float]:
+    """(s, k) of C4 (sigma = +1, strata B, D) or C4' (sigma = -1, C, E), affine in w = h - sigma j/tau:
+    C4 = quad + s cross - k w, and C3 = quad - s cross.  `classify` evaluates it;
+    `representations.intertwiner_generator` solves it for the operator W = hat w."""
+    return sigma * 2.0 / tau, sigma * 4.0 * f / tau
+
+
+# strata B..E by sigma: the class with C3 > 0, the degenerate class, and their invariants (C3, C4, C5)
+_STRATA_BE = {
+    1.0: (OrbitClass.B, OrbitClass.D, lambda c3, c4, c5: InvariantSet(C3=c3, C4=c4, C5=c5)),
+    -1.0: (OrbitClass.C, OrbitClass.E, lambda c3, c4, c5: InvariantSet(C3p=c3, C4p=c4, C5p=c5)),
+}
 
 
 def classify(xi: DualPoint, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[OrbitClass, InvariantSet]:
@@ -181,46 +201,29 @@ def classify(xi: DualPoint, tol: float = DEFAULT_CLASSIFY_TOL) -> tuple[OrbitCla
     tau = xi.tau
     f, m = xi.f, xi.m
     scale = max(abs(f), tau * abs(m))
-    quad, cross, _ = _quadratics(xi)
-
-    if scale == 0.0:
-        return _classify_null(xi, tol)
+    quad, cross = quadratics(xi.p, xi.k, tau)
 
     f_zero = abs(f) <= tol * scale
     m_zero = tau * abs(m) <= tol * scale
     if f_zero and m_zero:
-        return _classify_null(xi, tol)
-    if f_zero:
-        c1 = quad - 2.0 * m * xi.h
-        c2 = cross + m * xi.j
-        return OrbitClass.F, InvariantSet(C1=c1, C2=c2)
-    if m_zero:
-        c1 = quad + (2.0 / tau**2) * f * xi.j
-        c2 = cross - f * xi.h
-        return OrbitClass.G, InvariantSet(C1=c1, C2=c2)
-
-    if abs(f - m * tau) <= tol * scale:
-        c3 = quad - (2.0 / tau) * cross
-        c4 = quad + (2.0 / tau) * cross - (4.0 * f / tau) * (xi.h - xi.j / tau)
-        if c3 > tol:
-            return OrbitClass.B, InvariantSet(C3=c3, C4=c4)
-        return OrbitClass.D, InvariantSet(C3=c3, C4=c4, C5=xi.h + xi.j / tau)
-    if abs(f + m * tau) <= tol * scale:
-        c3p = quad + (2.0 / tau) * cross
-        c4p = quad - (2.0 / tau) * cross + (4.0 * f / tau) * (xi.h + xi.j / tau)
-        if c3p > tol:
-            return OrbitClass.C, InvariantSet(C3p=c3p, C4p=c4p)
-        return OrbitClass.E, InvariantSet(C3p=c3p, C4p=c4p, C5p=xi.h - xi.j / tau)
-
-    c1 = quad - 2.0 * m * xi.h + (2.0 / tau**2) * f * xi.j
-    c2 = cross + m * xi.j - f * xi.h
-    return OrbitClass.A, InvariantSet(C1=c1, C2=c2)
+        return _classify_null(xi, tol, quad, cross)
+    sigma = 1.0 if (f > 0.0) == (m > 0.0) else -1.0  # strata B..E have f = sigma m tau
+    if f_zero or m_zero or not abs(f - sigma * m * tau) <= tol * scale:
+        # strata F (f = 0), G (m = 0) and A, each at its exact values
+        cls = OrbitClass.F if f_zero else OrbitClass.G if m_zero else OrbitClass.A
+        m11, m12, m21, m22 = casimir_matrix(0.0 if f_zero else f, 0.0 if m_zero else m, tau)
+        return cls, InvariantSet(C1=quad + m11 * xi.h + m12 * xi.j, C2=cross + m22 * xi.j + m21 * xi.h)
+    generic, degenerate, invariant_set = _STRATA_BE[sigma]
+    s, k = c4_form(f, tau, sigma)
+    c3 = quad - s * cross
+    c4 = quad + s * cross - k * (xi.h - sigma * xi.j / tau)
+    if c3 > tol:
+        return generic, invariant_set(c3, c4, None)
+    return degenerate, invariant_set(c3, c4, xi.h + sigma * xi.j / tau)
 
 
-def _classify_null(xi: DualPoint, tol: float) -> tuple[OrbitClass, InvariantSet]:
+def _classify_null(xi: DualPoint, tol: float, c1: float, c2: float) -> tuple[OrbitClass, InvariantSet]:
     tau = xi.tau
-    quad, cross, _ = _quadratics(xi)
-    c1, c2 = quad, cross
     if c1 <= tol:
         return OrbitClass.K, InvariantSet(C1=c1, C2=c2)
     if abs(c2 - 0.5 * tau * c1) <= tol * c1:
@@ -261,19 +264,17 @@ def random_point_in_class(
                 break
         return DualPoint(f, m, h, unit_out(0.0), unit_out(0.0), j, tau)
     if cls in (OrbitClass.B, OrbitClass.D, OrbitClass.C, OrbitClass.E):
+        sigma = 1.0 if cls in (OrbitClass.B, OrbitClass.D) else -1.0  # f = sigma m tau
         m = float(rng.uniform(0.3, spread)) * float(rng.choice([-1.0, 1.0]))
-        f = m * tau if cls in (OrbitClass.B, OrbitClass.D) else -m * tau
+        k = unit_out()
         if cls in (OrbitClass.B, OrbitClass.C):
-            k = unit_out()
             p = unit_out()
             # keep the degeneracy measure (C3 or C3') safely away from zero
-            x = p + (k.perp() * (1.0 / tau) if cls is OrbitClass.B else k.perp() * (-1.0 / tau))
-            if x.sq() < 0.05:
+            if (p + k.perp() * (sigma / tau)).sq() < 0.05:
                 p = p + Vec2(0.5, 0.0)
         else:
-            k = unit_out()
-            p = k.perp() * (-1.0 / tau) if cls is OrbitClass.D else k.perp() * (1.0 / tau)
-        return DualPoint(f, m, h, p, k, j, tau)
+            p = k.perp() * (-sigma / tau)
+        return DualPoint(sigma * m * tau, m, h, p, k, j, tau)
     if cls is OrbitClass.F:
         m = float(rng.uniform(0.3, spread)) * float(rng.choice([-1.0, 1.0]))
         return DualPoint(0.0, m, h, unit_out(0.0), unit_out(0.0), j, tau)
@@ -283,8 +284,8 @@ def random_point_in_class(
     if cls is OrbitClass.H:
         while True:
             p, k = unit_out(), unit_out()
-            quad = p.sq() + k.sq() / tau**2
-            if quad > 0.1 and abs(p.cross(k)) < 0.45 * tau * quad:
+            quad, cross = quadratics(p, k, tau)
+            if quad > 0.1 and abs(cross) < 0.45 * tau * quad:
                 return DualPoint(0.0, 0.0, h, p, k, j, tau)
     if cls is OrbitClass.I:
         p = unit_out()

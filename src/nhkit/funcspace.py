@@ -233,15 +233,15 @@ def probe_state(ctx: BasisContext, rng, kmax: int = 6) -> HermiteState:
 class QuadraticOperator:
     """Operator  sum_ab coef[a, b] (z_a z_b + z_b z_a)/2  over
     z = (1, y_1..y_d, p_1..p_d), p = -i d/dy, with `coef` a symmetric
-    (2d+1, 2d+1) array.  Every z_a is Hermitian, so the operator is
-    Hermitian exactly when `coef` is real."""
+    (2d+1, 2d+1) array of finite numbers.  Every z_a is Hermitian, so the
+    operator is Hermitian exactly when `coef` is real."""
 
     coef: np.ndarray
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=complex)
-        if coef.ndim != 2 or coef.shape[0] % 2 != 1 or not np.array_equal(coef, coef.T):
-            raise ValueError("coef must be a symmetric (2 dims + 1)-square array")
+        if coef.ndim != 2 or coef.shape[0] % 2 != 1 or not (np.isfinite(coef).all() and np.array_equal(coef, coef.T)):
+            raise ValueError("coef must be a finite symmetric (2 dims + 1)-square array")
         object.__setattr__(self, "coef", coef)
 
     @property

@@ -60,14 +60,6 @@ class Vec2:
         """Rotation by +pi/2, u^{pi/2} = (-u2, u1), so that u.cross(v) == v.dot(u.perp())."""
         return Vec2(-self.x2, self.x1)
 
-    def perp_neg(self) -> "Vec2":
-        """Rotation by -pi/2: (x2, -x1)."""
-        return Vec2(self.x2, -self.x1)
-
-    def rev(self) -> "Vec2":
-        """Reversal of the first component: (-x1, x2)."""
-        return Vec2(-self.x1, self.x2)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.x1, self.x2)
 

@@ -11,6 +11,9 @@ every application first rewrites the element through the group law itself
 at the operator level.  The nilpotent factor is read off the generator
 table: U(n) = e^{i(f alpha + m(theta - a.v/2))} exp(i(a.P + v.K)) with the
 linear P, K of the carrier, one phase/shift displacement (`_nilpotent_apply`).
+H and J (cases A, F, G) and the intertwiner W (B..E) solve the orbit
+invariants of `coadjoint` with S = P^2 + K^2/tau^2 and X = P x K for quad and
+cross; the Hermite basis scale lambda is read off H or W (`basis_scale`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coadjoint import OrbitClass
+from .coadjoint import OrbitClass, c4_form, casimir_matrix, quadratics
 from .funcspace import (
     BasisContext,
     HermiteState,
@@ -95,8 +98,6 @@ class RepLabels:
     kappa_vec: Vec2 = field(default_factory=Vec2.zero)
     h: float = 0.0
     j: float = 0.0
-    n: int = 0
-    n_prime: int = 0
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -163,8 +164,7 @@ def labels_case_g(f: float, C1: float, C2: float, tau: float = 1.0) -> RepLabels
 
 
 def labels_case_h(rho: Vec2, kappa_vec: Vec2, tau: float = 1.0) -> RepLabels:
-    c1 = rho.sq() + kappa_vec.sq() / tau**2
-    c2 = rho.cross(kappa_vec)
+    c1, c2 = quadratics(rho, kappa_vec, tau)
     if not abs(c2) < 0.5 * tau * c1:
         raise StratumError("class H needs |rho x kappa| < (tau/2)(rho^2 + kappa^2/tau^2)")
     return RepLabels(OrbitClass.H, tau=tau, rho=rho, kappa_vec=kappa_vec, C1=c1, C2=c2)
@@ -172,7 +172,7 @@ def labels_case_h(rho: Vec2, kappa_vec: Vec2, tau: float = 1.0) -> RepLabels:
 
 def labels_case_i(kappa_vec: Vec2, C5: float, tau: float = 1.0) -> RepLabels:
     rho = kappa_vec.perp() * (-1.0 / tau)
-    c1 = rho.sq() + kappa_vec.sq() / tau**2
+    c1 = quadratics(rho, kappa_vec, tau)[0]
     return RepLabels(
         OrbitClass.I, tau=tau, rho=rho, kappa_vec=kappa_vec, C1=c1, C2=0.5 * tau * c1, C5=C5
     )
@@ -180,7 +180,7 @@ def labels_case_i(kappa_vec: Vec2, C5: float, tau: float = 1.0) -> RepLabels:
 
 def labels_case_j(kappa_vec: Vec2, C5p: float, tau: float = 1.0) -> RepLabels:
     rho = kappa_vec.perp() * (1.0 / tau)
-    c1 = rho.sq() + kappa_vec.sq() / tau**2
+    c1 = quadratics(rho, kappa_vec, tau)[0]
     return RepLabels(
         OrbitClass.J, tau=tau, rho=rho, kappa_vec=kappa_vec, C1=c1, C2=-0.5 * tau * c1, C5p=C5p
     )
@@ -260,7 +260,8 @@ def _invariants(ops: dict[str, QuadraticOperator], tau: float) -> tuple[Quadrati
 
 def generators(labels: RepLabels) -> dict[str, QuadraticOperator]:
     """Generator operators P, K, H, J (plus the central M, F) for the
-    function-space cases A, F, G."""
+    function-space cases A, F, G.  H and J solve the invariants
+    (C1, C2) = (S, X) + M (H, J) of `coadjoint.casimir_matrix` by Cramer's rule."""
     case = labels.orbit_class
     if case not in _FUNCTION_CASES_2D:
         raise ValueError(f"generators available for cases A, F, G; got {case}")
@@ -268,17 +269,11 @@ def generators(labels: RepLabels) -> dict[str, QuadraticOperator]:
     f, m, tau = labels.f, labels.m, labels.tau
     s_op, x_op = _invariants(ops, tau)
     ident = linear(2, 1.0)
-    if case is OrbitClass.A:
-        delta = tau**2 * m**2 - f**2
-        c_val = labels.C1 - (2 * f / (tau**2 * m)) * labels.C2
-        h_op = (tau**2 * m / (2 * delta)) * (s_op - (2 * f / (tau**2 * m)) * x_op - c_val * ident)
-        j_op = (1.0 / m) * (labels.C2 * ident - x_op + f * h_op)
-    elif case is OrbitClass.F:
-        h_op = (1.0 / (2 * m)) * (s_op - labels.C1 * ident)
-        j_op = (1.0 / m) * (labels.C2 * ident - x_op)
-    else:  # case G; the rotation exponent solves the C1 invariant for j
-        h_op = (1.0 / f) * (x_op - labels.C2 * ident)
-        j_op = (tau**2 / (2 * f)) * (labels.C1 * ident - s_op)
+    m11, m12, m21, m22 = casimir_matrix(f, m, tau)
+    det = m11 * m22 - m12 * m21
+    r1, r2 = labels.C1 * ident - s_op, labels.C2 * ident - x_op
+    h_op = (1.0 / det) * (m22 * r1 - m12 * r2)
+    j_op = (1.0 / det) * (m11 * r2 - m21 * r1)
     return {**ops, "H": h_op, "J": j_op, "M": linear(2, m), "F": linear(2, f)}
 
 
@@ -323,36 +318,34 @@ def nilpotent_rep_apply(labels: RepLabels, g: GroupElement, psi: HermiteState, c
 # 1D inner machinery: cases B, C, D, E
 # --------------------------------------------------------------------------
 
+def _sigma(labels: RepLabels) -> float:
+    """+1 on cases B/D (f = m tau), -1 on cases C/E (f = -m tau)."""
+    return 1.0 if (labels.f > 0.0) == (labels.m > 0.0) else -1.0
+
+
 def _operators_1d(labels: RepLabels) -> dict[str, QuadraticOperator]:
     """Translation and boost generators of the inner representation on one
     variable: cases B/D on the x-side, C/E mirrored; P1 carries the label
     sqrt(C3) of case B and sqrt(C3') of case C."""
-    f, tau, cls = labels.f, labels.tau, labels.orbit_class
+    f, tau, cls, sigma = labels.f, labels.tau, labels.orbit_class, _sigma(labels)
     label = math.sqrt({OrbitClass.B: labels.C3, OrbitClass.C: labels.C3p}.get(cls, 0.0))
-    p1 = linear(1, label, p=[-1 / tau])
-    if cls in (OrbitClass.B, OrbitClass.D):
-        p2 = linear(1, y=[-f / tau], p=[1 / tau])
-        k1 = linear(1, y=[f], p=[-1.0])
-        k2 = linear(1, p=[-1.0])
-    else:
-        p2 = linear(1, y=[-f / tau], p=[-1 / tau])
-        k1 = linear(1, y=[-f], p=[-1.0])
-        k2 = linear(1, p=[1.0])
-    return {"P1": p1, "P2": p2, "K1": k1, "K2": k2}
+    return {
+        "P1": linear(1, label, p=[-1 / tau]),
+        "P2": linear(1, y=[-f / tau], p=[sigma / tau]),
+        "K1": linear(1, y=[sigma * f], p=[-1.0]),
+        "K2": linear(1, p=[-sigma]),
+    }
 
 
 def intertwiner_generator(labels: RepLabels) -> QuadraticOperator:
-    """Quadratic generator of the little-group intertwiner W.
-
-    B/D: +(tau/4f) (S + (2/tau) X - C4), the hat of H - J/tau.
-    C/E: -(tau/4f) (S - (2/tau) X - C4'), the hat of H + J/tau.
-    """
-    f, tau = labels.f, labels.tau
-    s_op, x_op = _invariants(_operators_1d(labels), tau)
-    ident = linear(1, 1.0)
-    if labels.orbit_class in (OrbitClass.B, OrbitClass.D):
-        return (tau / (4 * f)) * (s_op + (2.0 / tau) * x_op - labels.C4 * ident)
-    return (-tau / (4 * f)) * (s_op - (2.0 / tau) * x_op - labels.C4p * ident)
+    """Quadratic generator of the little-group intertwiner W, the hat of
+    w = h - sigma j/tau: it solves the invariant C4 = S + s X - k W (C4' on C/E)
+    of `coadjoint.c4_form`."""
+    sigma = _sigma(labels)
+    s, k = c4_form(labels.f, labels.tau, sigma)
+    c4 = labels.C4 if sigma > 0 else labels.C4p
+    s_op, x_op = _invariants(_operators_1d(labels), labels.tau)
+    return (1.0 / k) * (s_op + s * x_op - c4 * linear(1, 1.0))
 
 
 def inner_rep_apply(labels: RepLabels, n: GroupElement, psi: HermiteState, ctx: BasisContext) -> HermiteState:
@@ -423,7 +416,7 @@ class InducedRepBC:
         self.spacing = 2.0 * math.pi / n_t
         self.w_gen = intertwiner_generator(labels)
         self.rows = _nilpotent_rows(_operators_1d(labels))
-        self._sign = 1.0 if labels.orbit_class is OrbitClass.B else -1.0
+        self._sign = _sigma(labels)
 
     def coset_shift(self, g: GroupElement) -> float:
         return g.b / self.labels.tau + self._sign * g.phi
@@ -478,14 +471,10 @@ class InducedRepDE:
         lab = self.labels
         tau = lab.tau
         n_star, b, phi = nk_decompose(g)
-        beta_minus = 0.5 * (b - tau * phi)
-        beta_plus = 0.5 * (b + tau * phi)
-        if lab.orbit_class is OrbitClass.D:
-            out = exp_apply(self.w_gen, beta_minus, psi, self.ctx) if beta_minus != 0.0 else psi
-            scalar = beta_plus * lab.C5
-        else:
-            out = exp_apply(self.w_gen, beta_plus, psi, self.ctx) if beta_plus != 0.0 else psi
-            scalar = beta_minus * lab.C5p
+        sigma = _sigma(lab)  # W runs along b - sigma tau phi, the C5 (C5') phase along b + sigma tau phi
+        beta_w, beta_c = 0.5 * (b - sigma * tau * phi), 0.5 * (b + sigma * tau * phi)
+        out = exp_apply(self.w_gen, beta_w, psi, self.ctx) if beta_w != 0.0 else psi
+        scalar = beta_c * (lab.C5 if sigma > 0 else lab.C5p)
         out = _nilpotent_apply(self.rows, lab, n_star, out, self.ctx)
         character = b * lab.kappa1 + phi * lab.kappa2
         return replace(out, coeffs=out.coeffs * cmath.exp(1j * (scalar + character)))
@@ -641,8 +630,13 @@ _ON_CIRCLE = _on_grid(2, lambda tau, grid: tau * (2.0 * math.pi / grid))  # b/ta
 _ON_TORUS = _on_grid(3, lambda tau, grid: 2.0 * math.pi * tau / grid)  # b on [0, 2 pi tau), phi on [0, 2 pi): H
 
 
-def _inner_scale(labels):  # (f^2/2)^(1/4), the basis scale of cases B..E
-    return (labels.f**2 / 2.0) ** 0.25
+def basis_scale(labels: RepLabels) -> float:
+    """Hermite basis scale of cases A..G, read off the quadratic block Q = coef[1:, 1:] of H
+    (A, F, G) or of the intertwiner W (B..E): lambda = |det Q_yy / det Q_pp|^(1/(4d)).  For one
+    axis and alpha y^2 + beta p^2 it is (alpha/beta)^(1/4), the scale of the ground state."""
+    gen = generators(labels)["H"] if labels.orbit_class in _FUNCTION_CASES_2D else intertwiner_generator(labels)
+    d, q = gen.dims, gen.coef.real[1:, 1:]
+    return float(abs(np.linalg.det(q[:d, :d]) / np.linalg.det(q[d:, d:])) ** (1.0 / (4 * d)))
 
 
 @dataclass(frozen=True)
@@ -656,24 +650,23 @@ class Case:
     homomorphism: float  # default budget
     n: int | None = None  # default Hermite basis size; None for cases h..k, which have no basis
     kmax: int | None = None  # default probe-state mode cutoff
-    lam: Callable[[RepLabels], float] | None = None  # basis scale: calibrated for A and G
 
 
 CASES = {
     "a": Case(labels_case_a, {"f": 3.0, "m": 1.0, "C1": 1.0, "C2": 0.5}, InducedRep2D, _free, 1e-3,
-              n=32, kmax=1, lam=lambda labels: 1.1),
+              n=32, kmax=1),
     "b": Case(labels_case_b, {"m": 1.0, "C3": 1.0, "C4": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,
-              n=96, kmax=2, lam=_inner_scale),
+              n=96, kmax=2),
     "c": Case(labels_case_c, {"m": 1.0, "C3p": 1.0, "C4p": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,
-              n=96, kmax=2, lam=_inner_scale),
+              n=96, kmax=2),
     "d": Case(labels_case_d, {"m": 1.0, "C4": 0.8, "C5": 0.4, "kappa1": 0.2, "kappa2": 0.1}, InducedRepDE, _free,
-              1e-3, n=80, kmax=2, lam=_inner_scale),
+              1e-3, n=80, kmax=2),
     "e": Case(labels_case_e, {"m": 1.0, "C4p": 0.8, "C5p": 0.4, "kappa1": 0.2, "kappa2": 0.1}, InducedRepDE, _free,
-              1e-3, n=80, kmax=2, lam=_inner_scale),
+              1e-3, n=80, kmax=2),
     "f": Case(labels_case_f, {"m": 1.0, "C1": 1.0, "C2": 0.3}, InducedRep2D, _free, 1e-6,
-              n=32, kmax=5, lam=lambda labels: math.sqrt(abs(labels.m) * labels.tau)),
+              n=32, kmax=5),
     "g": Case(labels_case_g, {"f": 1.5, "C1": 0.8, "C2": 0.4}, InducedRep2D, _free, 1e-3,
-              n=32, kmax=5, lam=lambda labels: 1.0),
+              n=32, kmax=5),
     "h": Case(labels_case_h, {"rho": Vec2(1.0, 0.0), "kappa_vec": Vec2(0.0, 0.5)}, InducedRepHIJ, _ON_TORUS, 1e-6),
     "i": Case(labels_case_i, {"kappa_vec": Vec2(0.0, -1.0), "C5": 0.7}, InducedRepHIJ, _ON_CIRCLE, 1e-6),
     "j": Case(labels_case_j, {"kappa_vec": Vec2(0.3, -1.0), "C5p": 0.7}, InducedRepHIJ, _ON_CIRCLE, 1e-6),
@@ -691,7 +684,7 @@ def case_setup(case: str, labels: RepLabels, rng, n: int | None = None, kmax: in
         rep = InducedRepHIJ(labels)
         vals = np.exp(1j * rng.uniform(0, 2 * math.pi, (grid,) * rep.rank))
         return None, rep, ScalarGrid(vals / np.linalg.norm(vals))
-    ctx = ladder_build(row.n if n is None else n, row.lam(labels), dims=2 if row.carrier is InducedRep2D else 1, pad=0)
+    ctx = ladder_build(row.n if n is None else n, basis_scale(labels), dims=2 if row.carrier is InducedRep2D else 1, pad=0)
     psi = probe_state(ctx, rng, kmax=row.kmax if kmax is None else kmax)
     if row.carrier is not InducedRepBC:
         return ctx, row.carrier(labels, ctx), psi

@@ -43,7 +43,14 @@ from nhkit.moyal import (
     weyl_symbol_axis,
 )
 from nhkit.cli import report_json, run as run_scenario
-from nhkit.representations import CASES, case_setup, check_case, homomorphism_residual, nilpotent_rep_apply
+from nhkit.representations import (
+    CASES,
+    basis_scale,
+    case_setup,
+    check_case,
+    homomorphism_residual,
+    nilpotent_rep_apply,
+)
 
 SEED = 987654321
 
@@ -242,7 +249,7 @@ def test_criterion_7_representations():
     assert bracket_worst <= 1e-8
 
     # -- nilpotent representation (continuum displacements, no quadratic flows)
-    ctx_nilp = ladder_build(32, CASES["a"].lam(lab_a), dims=2)
+    ctx_nilp = ladder_build(32, basis_scale(lab_a), dims=2)
     psi_n = probe_state(ctx_nilp, rng, kmax=4)
     def nilpotent():  # an element with b = phi = 0
         g = random_element(rng, scale=0.5)
@@ -262,13 +269,14 @@ def test_criterion_7_representations():
     check("k", scale=2.0)
 
     # -- monotone improvement from N = 24 to N = 40 for the truncation-limited cases,
-    # with the same state and the same pairs at every N
+    # with the same state and the same pairs at every N.  Case g at its basis scale reaches
+    # rounding (3e-15) from N = 28 on, so it steps through N = 16, 20, 24, where truncation rules.
     for case in "abcdeg":
         sampler = CASES[case].sampler
         pair_rng = np.random.default_rng(SEED + 7)
         pairs = [(sampler(pair_rng, 1.0, 0.5, 16), sampler(pair_rng, 1.0, 0.5, 16)) for _ in range(8)]
         residuals = []
-        for n_basis in (24, 32, 40):
+        for n_basis in (16, 20, 24) if case == "g" else (24, 32, 40):
             kmax = 1 if case in "ag" else 2
             _, rep, st = case_setup(case, labs[case], np.random.default_rng(5), n=n_basis, kmax=kmax)
             residuals.append(max(homomorphism_residual(rep.apply, g1, g2, st)[0] for g1, g2 in pairs))

@@ -267,78 +267,92 @@ def _cli(*args):
     )
 
 
-def test_cli_exit_codes(tmp_path):
+def _main(*args):
+    return cli.main(list(args))
+
+
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+    """Exit codes of `main`, called in-process; one subprocess checks the module's entry point."""
     # pass -> 0
     out = _cli("classify", "--point", '{"f":0,"m":0,"h":1,"p":[0,0],"k":[0,0],"j":0}')
     assert out.returncode == 0
     json.loads(out.stdout)
+    assert _main("classify", "--point", '{"f":0,"m":0,"h":1,"p":[0,0],"k":[0,0],"j":0}') == 0
+    json.loads(capsys.readouterr().out)
 
     # schema violation -> 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"command": "classify", "seed": "x"}')
-    out = _cli("classify", "--scenario", str(bad))
-    assert out.returncode == 2
+    assert _main("classify", "--scenario", str(bad)) == 2
     # malformed JSON in a file or a flag is a scenario error too
     bad.write_text('{"command": "classify",')
-    assert _cli("classify", "--scenario", str(bad)).returncode == 2
-    assert _cli("rep-check", "--case", "k", "--labels", "{h:1}").returncode == 2
-    assert _cli("classify", "--point", "[0,").returncode == 2
+    assert _main("classify", "--scenario", str(bad)) == 2
+    assert _main("rep-check", "--case", "k", "--labels", "{h:1}") == 2
+    assert _main("classify", "--point", "[0,") == 2
     # invalid counts, non-numeric values and unknown tolerance names
-    assert _cli("rep-check", "--case", "f", "--samples", "-5").returncode == 2
-    assert _cli("group-check", "--samples", "0").returncode == 2
-    assert _cli("rep-check", "--case", "f", "--hermite-n", "2").returncode == 2
-    assert _cli("moyal-check", "--nodes", "0").returncode == 2
-    assert _cli("group-check", "--samples", "1", "--tol", "assoc1ativity=1e-30").returncode == 2
-    assert _cli("group-check", "--samples", "1", "--tol", "associativity=abc").returncode == 2
+    assert _main("rep-check", "--case", "f", "--samples", "-5") == 2
+    assert _main("group-check", "--samples", "0") == 2
+    assert _main("rep-check", "--case", "f", "--hermite-n", "2") == 2
+    assert _main("moyal-check", "--nodes", "0") == 2
+    assert _main("group-check", "--samples", "1", "--tol", "assoc1ativity=1e-30") == 2
+    assert _main("group-check", "--samples", "1", "--tol", "associativity=abc") == 2
     bad.write_text('{"inputs": {"box": "abc"}}')
-    assert _cli("moyal-check", "--scenario", str(bad)).returncode == 2
+    assert _main("moyal-check", "--scenario", str(bad)) == 2
     # quadrature half-widths are positive: 0 is a zero-width box, -3 mirrors box 3
-    assert _cli("moyal-check", "--box", "0").returncode == 2
-    assert _cli("moyal-check", "--box=-3").returncode == 2
+    assert _main("moyal-check", "--box", "0") == 2
+    assert _main("moyal-check", "--box=-3") == 2
     bad.write_text('{"inputs": {"roundtrip_box": 0}}')
-    assert _cli("moyal-check", "--scenario", str(bad)).returncode == 2
-    assert _cli("classify", "--point", '{"f":"x","m":0,"h":1,"p":[0,0],"k":[0,0],"j":0}').returncode == 2
+    assert _main("moyal-check", "--scenario", str(bad)) == 2
+    assert _main("classify", "--point", '{"f":"x","m":0,"h":1,"p":[0,0],"k":[0,0],"j":0}') == 2
     # the basis scale sqrt(|m| tau) must be positive, and the probe modes 0..kmax must fit in N
-    assert _cli("moyal-check", "--tau", "0").returncode == 2
-    assert _cli("moyal-check", "--m", "0").returncode == 2
+    assert _main("moyal-check", "--tau", "0") == 2
+    assert _main("moyal-check", "--m", "0") == 2
     bad.write_text('{"inputs": {"case": "f", "hermite_n": 8, "probe_kmax": 20}}')
-    assert _cli("rep-check", "--scenario", str(bad)).returncode == 2
+    assert _main("rep-check", "--scenario", str(bad)) == 2
     # tau inside a list or a dual point, a base that is not an object, and labels that are not
     # finite numbers (a NaN residual would pass every check, since max() drops it)
     bad.write_text('{"inputs": {"taus": [0]}}')
-    assert _cli("group-check", "--scenario", str(bad), "--samples", "2").returncode == 2
-    assert _cli("classify", "--point", '{"f":0,"m":1,"h":0,"p":[1,0],"k":[0,0],"j":2,"tau":0}').returncode == 2
+    assert _main("group-check", "--scenario", str(bad), "--samples", "2") == 2
+    assert _main("classify", "--point", '{"f":0,"m":1,"h":0,"p":[1,0],"k":[0,0],"j":2,"tau":0}') == 2
     bad.write_text('{"inputs": {"base": 3}}')
-    assert _cli("orbit-atlas", "--scenario", str(bad)).returncode == 2
-    assert _cli("rep-check", "--case", "k", "--labels", '{"h": NaN, "j": 1}', "--samples", "2").returncode == 2
-    assert _cli("rep-check", "--case", "f", "--labels", '{"m": Infinity, "C1": 1, "C2": 0}').returncode == 2
-    assert _cli("rep-check", "--case", "k", "--labels", '{"h": true, "j": 1}', "--samples", "2").returncode == 2
+    assert _main("orbit-atlas", "--scenario", str(bad)) == 2
+    assert _main("rep-check", "--case", "k", "--labels", '{"h": NaN, "j": 1}', "--samples", "2") == 2
+    assert _main("rep-check", "--case", "f", "--labels", '{"m": Infinity, "C1": 1, "C2": 0}') == 2
+    assert _main("rep-check", "--case", "k", "--labels", '{"h": true, "j": 1}', "--samples", "2") == 2
     # the algebra tables hold tau^2 and 1/tau^2: 1/tau^2 overflows at 1e-160, tau^2 underflows at 1e-170
-    assert _cli("algebra-check", "--tau", "1e-160").returncode == 2
+    assert _main("algebra-check", "--tau", "1e-160") == 2
     bad.write_text('{"inputs": {"tau": 1e-170, "contraction_speeds": [1e150, 1e154]}}')
-    assert _cli("algebra-check", "--scenario", str(bad)).returncode == 2
+    assert _main("algebra-check", "--scenario", str(bad)) == 2
     # a JSON integer too large for a float is not a finite number
     bad.write_text('{"inputs": {"taus": [1' + "0" * 400 + "]}}")
-    assert _cli("group-check", "--scenario", str(bad), "--samples", "2").returncode == 2
+    assert _main("group-check", "--scenario", str(bad), "--samples", "2") == 2
     # the representations hold tau^2 and 1/tau^2 too: these three exited 3 before the rule
-    assert _cli("rep-check", "--case", "h", "--tau", "1e160", "--samples", "5").returncode == 2
-    assert _cli("rep-check", "--case", "b", "--tau", "1e-160", "--samples", "2").returncode == 2
-    assert _cli("moyal-check", "--tau", "1e300", "--samples", "1", "--hermite-n", "8", "--nodes", "8").returncode == 2
+    assert _main("rep-check", "--case", "h", "--tau", "1e160", "--samples", "5") == 2
+    assert _main("rep-check", "--case", "b", "--tau", "1e-160", "--samples", "2") == 2
+    assert _main("moyal-check", "--tau", "1e300", "--samples", "1", "--hermite-n", "8", "--nodes", "8") == 2
+
+    # the oscillator's energy holds tau^2 too
+    bad.write_text('{"inputs": {"tau": 1e300, "t_max": 1.0}}')
+    assert _main("evolve", "--scenario", str(bad)) == 2
+    # labels off their stratum, and labels whose generator coefficients overflow
+    assert _main("rep-check", "--case", "a", "--labels", '{"f":1,"m":1,"C1":1,"C2":0}', "--samples", "1",
+                 "--hermite-n", "8") == 2
+    assert _main("rep-check", "--case", "a", "--labels", '{"f":3,"m":1e300,"C1":1,"C2":0.5}', "--samples", "1",
+                 "--hermite-n", "8") == 2
+    assert _main("moyal-check", "--m", "1e300", "--samples", "1", "--hermite-n", "8", "--nodes", "8") == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"
-    out = _cli(
-        "evolve",
-        "--tol", "conservation=1e-30",
-        "--out", str(target),
-    )
-    assert out.returncode == 1
+    assert _main("evolve", "--tol", "conservation=1e-30", "--out", str(target)) == 1
     report = json.loads(target.read_text())
     assert report["pass"]["energy_conserved"] is False or report["metrics"]["h_drift"] == 0.0
 
-    # internal error -> 3 (labels violating the stratum blow up inside)
-    out = _cli("rep-check", "--case", "a", "--labels", '{"f":1.0,"m":1.0,"C1":1,"C2":0}')
-    assert out.returncode == 3
+    # internal error -> 3: a stratum error raised while applying the representation is not the scenario's
+    def left_the_little_group(*args):
+        raise representations.StratumError("induction element left the little group")
+
+    monkeypatch.setattr(cli, "check_case", left_the_little_group)
+    assert _main("rep-check", "--case", "b", "--samples", "1") == 3
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -37,7 +37,6 @@ def test_vec2_perp_matches_cross_convention():
     # u x v = u1 v2 - u2 v1 and the quarter rotation u^{pi/2} = (-u2, u1)
     assert u.cross(v) == pytest.approx(v.dot(u.perp()))
     assert u.perp().as_tuple() == (1.2, 0.3)
-    assert u.rev().as_tuple() == (-0.3, -1.2)
     assert u.rot(math.pi / 2).x1 == pytest.approx(u.perp().x1)
     assert u.rot(math.pi / 2).x2 == pytest.approx(u.perp().x2)
 

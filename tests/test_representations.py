@@ -32,6 +32,7 @@ from nhkit.representations import (
     ScalarGrid,
     StratumError,
     TorusGridScalar,
+    basis_scale,
     case_setup,
     generator_check,
     generators,
@@ -162,7 +163,7 @@ def test_nilpotent_factor_is_the_exponential_of_its_generator(case, pad):
     row = CASES[case]
     labels = row.factory(**row.labels)
     dims = 2 if row.carrier is InducedRep2D else 1
-    ctx = ladder_build(24 if dims == 2 else row.n, row.lam(labels), dims=dims, pad=pad)
+    ctx = ladder_build(24 if dims == 2 else row.n, basis_scale(labels), dims=dims, pad=pad)
     if dims == 2:
         ops, apply = generators(labels), InducedRep2D(labels, ctx).apply
     else:
@@ -235,17 +236,38 @@ def test_case_f_extension_bracket(rep_f, ctx2d):
     assert np.max(np.abs(_interior(k1 @ p1 - p1 @ k1, n) + 1j * LAB_F.m * eye)) <= 1e-9
 
 
-def test_case_a_casimirs_act_as_constants(rep_a, ctx2d_a, rng):
-    psi = probe_state(ctx2d_a, rng, kmax=4)
+@pytest.mark.parametrize("case", ["a", "f", "g"])
+def test_casimirs_act_as_constants(request, case, rng):
+    """C1 = P^2 + K^2/tau^2 - 2m H + (2f/tau^2) J and C2 = P x K + m J - f H on the assembled
+    matrices, at f = 0 for F and m = 0 for G."""
+    rep = request.getfixturevalue({"a": "rep_a", "f": "rep_f", "g": "rep_g"}[case])
+    lab = rep.labels
+    psi = probe_state(rep.ctx, rng, kmax=4)
     v = psi.coeffs.reshape(-1)
-    p1, p2 = rep_a.generator_matrix("P1"), rep_a.generator_matrix("P2")
-    k1, k2 = rep_a.generator_matrix("K1"), rep_a.generator_matrix("K2")
-    h, j = rep_a.generator_matrix("H"), rep_a.generator_matrix("J")
-    f, m = LAB_A.f, LAB_A.m
+    p1, p2 = rep.generator_matrix("P1"), rep.generator_matrix("P2")
+    k1, k2 = rep.generator_matrix("K1"), rep.generator_matrix("K2")
+    h, j = rep.generator_matrix("H"), rep.generator_matrix("J")
+    f, m = lab.f, lab.m
     c1_op = p1 @ p1 + p2 @ p2 + (k1 @ k1 + k2 @ k2) / TAU**2 - 2 * m * h + (2 * f / TAU**2) * j
     c2_op = (p1 @ k2 - p2 @ k1) + m * j - f * h
-    assert np.linalg.norm(c1_op @ v - LAB_A.C1 * v) <= 1e-6
-    assert np.linalg.norm(c2_op @ v - LAB_A.C2 * v) <= 1e-6
+    assert np.linalg.norm(c1_op @ v - lab.C1 * v) <= 1e-6
+    assert np.linalg.norm(c2_op @ v - lab.C2 * v) <= 1e-6
+
+
+def test_basis_scale_rule_gives_the_closed_forms():
+    """The rule read off H or W is sqrt(|m| tau) on F and (f^2/2)^(1/4) on B..E, at random labels."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m, c, tau = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]), rng.uniform(0.1, 2.0), rng.uniform(0.3, 3.0)
+        lab_f = labels_case_f(m=m, C1=c, C2=rng.uniform(-1, 1), tau=tau)
+        assert basis_scale(lab_f) == pytest.approx(math.sqrt(abs(m) * tau), rel=1e-14, abs=0.0)
+        for labels in (
+            labels_case_b(m=m, C3=c, C4=rng.uniform(-1, 1), tau=tau),
+            labels_case_c(m=m, C3p=c, C4p=rng.uniform(-1, 1), tau=tau),
+            labels_case_d(m=m, C4=rng.uniform(-1, 1), C5=c, tau=tau),
+            labels_case_e(m=m, C4p=rng.uniform(-1, 1), C5p=c, tau=tau),
+        ):
+            assert basis_scale(labels) == pytest.approx((labels.f**2 / 2.0) ** 0.25, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("direction,budget,eps", [
@@ -315,8 +337,7 @@ N_T = 16
 
 @pytest.fixture(scope="module")
 def ctx1d():
-    lam = (LAB_B.f**2 / 2.0) ** 0.25
-    return ladder_build(96, lam, dims=1, pad=0)
+    return ladder_build(96, basis_scale(LAB_B), dims=1, pad=0)
 
 
 def _case(labels):  # the letter of the labels' row in CASES
@@ -413,8 +434,7 @@ LAB_E = labels_case_e(m=1.0, C4p=0.8, C5p=0.4, kappa1=0.2, kappa2=0.1)
 
 @pytest.fixture(scope="module")
 def ctx1d_de():
-    lam = (LAB_D.f**2 / 2.0) ** 0.25
-    return ladder_build(80, lam, dims=1, pad=0)
+    return ladder_build(80, basis_scale(LAB_D), dims=1, pad=0)
 
 
 @pytest.mark.parametrize("labels", [LAB_D, LAB_E])
