@@ -81,6 +81,17 @@ def _squares_finite(xs) -> bool:  # no x * x underflows to 0 or overflows
     return all(0.0 < float(x) * float(x) < math.inf for x in xs)
 
 
+def _is_tau(x) -> bool:
+    return _is_real(x) and x > 0 and _squares_finite([x, 1.0 / x])
+
+
+def _cosh_finite(x: float) -> bool:  # math.cosh raises where the value overflows
+    try:
+        return math.cosh(x) < math.inf
+    except OverflowError:
+        return False
+
+
 def _rule(test, need: str, typed=lambda x: x):
     """A parse rule: it checks a raw JSON value, named `where` in its error,
     and returns it typed."""
@@ -116,13 +127,16 @@ _vec = _rule(
 )
 # lists come back as given, so reports and CSV rows print their entries as written
 _reals = _rule(_is_reals, "a nonempty list of finite numbers")
-_positives = _rule(_is_positives, "a nonempty list of positive numbers")
 # the contraction slope is taken between the first and the last speed c, and the tables divide by c^2
 _speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1] and _squares_finite(x),
                 "positive numbers whose first and last differ and whose squares are positive and finite")
-# the algebra tables, the representations and the oscillator's energy hold tau^2 and 1/tau^2
-_tau = _rule(lambda x: _is_real(x) and x > 0 and _squares_finite([x, 1.0 / x]),
-             "a positive number whose square and inverse square are positive and finite", float)
+# the algebra tables, the representations, the coadjoint invariants and the oscillator's energy hold
+# tau^2 and 1/tau^2
+_tau = _rule(_is_tau, "a positive number whose square and inverse square are positive and finite", float)
+# group-check draws b and t from [-2, 2] (random_element's scale), so the expanding variant's law
+# evaluates cosh(b/tau) at |b| up to 4, the time of a product of two draws
+_taus = _rule(lambda x: isinstance(x, list) and len(x) > 0 and all(_is_tau(t) and _cosh_finite(4.0 / t) for t in x),
+              "a nonempty list of numbers that each pass the tau rule and have cosh(4/tau) finite")
 _case = _rule(lambda x: str(x).lower() in CASES, "a case a..k", lambda x: str(x).lower())
 
 
@@ -153,7 +167,7 @@ def _object(table: dict, typed=dict):
 
 DUAL_POINT = {
     "f": (_real, REQUIRED), "m": (_real, REQUIRED), "h": (_real, REQUIRED), "p": (_vec, REQUIRED),
-    "k": (_vec, REQUIRED), "j": (_real, REQUIRED), "tau": (_positive, 1.0),
+    "k": (_vec, REQUIRED), "j": (_real, REQUIRED), "tau": (_tau, 1.0),
 }
 ATLAS_BASE = {key: DUAL_POINT[key] for key in ("h", "p", "k", "j", "tau")}  # orbit-atlas sweeps f and m
 
@@ -444,7 +458,7 @@ SPECS = {
         "roundtrip_box": (_positive, 5.0), "roundtrip_nodes": (_count(1, NODES_MAX), 96),
     }, {"covariance": 1e-6, "isotropy": 1e-4, "trikernel": 1e-2, "trace_smeared": 0.05, "roundtrip": 0.05}),
     "group-check": (_run_group_check, {
-        "samples": (_count(1, DRAWS_MAX), 2000), "taus": (_positives, [0.5, 1.0, 2.0]),
+        "samples": (_count(1, DRAWS_MAX), 2000), "taus": (_taus, [0.5, 1.0, 2.0]),
     }, {
         "associativity": 1e-10, "identity": 1e-10, "inverse": 1e-10, "action": 1e-11, "projection": 1e-12,
     }),

@@ -119,43 +119,28 @@ def coad(g: GroupElement, xi: DualPoint) -> DualPoint:
         raise ValueError("coadjoint action implemented for the oscillating variant only")
     if g.tau != xi.tau:
         raise ValueError(f"tau mismatch: element {g.tau}, dual point {xi.tau}")
-    tau = g.tau
+    tau, a1, a2, v1, v2 = g.tau, g.a.x1, g.a.x2, g.v.x1, g.v.x2
+    tau2 = tau**2
     c = math.cos(g.b / tau)
     s = math.sin(g.b / tau)
     f, m = xi.f, xi.m
-    p_rot = xi.p.rot(g.phi)
-    k_rot = xi.k.rot(g.phi)
-    a_perp = g.a.perp()
-    v_perp = g.v.perp()
-
-    p_new = (
-        p_rot * c
-        - k_rot * (s / tau)
-        - (a_perp * c - v_perp * (tau * s)) * (f / tau**2)
-        - (g.v * (tau * c) + g.a * s) * (m / tau)
+    cr, sr = math.cos(g.phi), math.sin(g.phi)
+    pr1, pr2 = cr * xi.p.x1 - sr * xi.p.x2, sr * xi.p.x1 + cr * xi.p.x2  # p and k rotated by phi
+    kr1, kr2 = cr * xi.k.x1 - sr * xi.k.x2, sr * xi.k.x1 + cr * xi.k.x2
+    ap1, ap2, vp1, vp2 = -a2, a1, -v2, v1  # a^{pi/2} and v^{pi/2}
+    p_new = Vec2(
+        pr1 * c - kr1 * (s / tau) - (ap1 * c - vp1 * (tau * s)) * (f / tau2) - (v1 * (tau * c) + a1 * s) * (m / tau),
+        pr2 * c - kr2 * (s / tau) - (ap2 * c - vp2 * (tau * s)) * (f / tau2) - (v2 * (tau * c) + a2 * s) * (m / tau),
     )
-    k_new = (
-        p_rot * (tau * s)
-        + k_rot * c
-        - (v_perp * (tau * c) + a_perp * s) * (f / tau)
-        + (g.a * c - g.v * (tau * s)) * m
+    k_new = Vec2(
+        pr1 * (tau * s) + kr1 * c - (vp1 * (tau * c) + ap1 * s) * (f / tau) + (a1 * c - v1 * (tau * s)) * m,
+        pr2 * (tau * s) + kr2 * c - (vp2 * (tau * c) + ap2 * s) * (f / tau) + (a2 * c - v2 * (tau * s)) * m,
     )
-    quad = g.a.sq() / tau**2 + g.v.sq()
-    h_new = (
-        xi.h
-        - g.v.dot(p_rot)
-        + g.a.dot(k_rot) / tau**2
-        + g.v.dot(a_perp) * (f / tau**2)
-        + 0.5 * m * quad
-    )
-    j_new = (
-        xi.j
-        + a_perp.dot(p_rot)
-        + v_perp.dot(k_rot)
-        - 0.5 * f * quad
-        - m * g.v.dot(a_perp)
-    )
-    return DualPoint(f=f, m=m, h=h_new, p=p_new, k=k_new, j=j_new, tau=tau)
+    quad = (a1 * a1 + a2 * a2) / tau2 + (v1 * v1 + v2 * v2)
+    v_ap = v1 * ap1 + v2 * ap2
+    h_new = xi.h - (v1 * pr1 + v2 * pr2) + (a1 * kr1 + a2 * kr2) / tau2 + v_ap * (f / tau2) + 0.5 * m * quad
+    j_new = xi.j + (ap1 * pr1 + ap2 * pr2) + (vp1 * kr1 + vp2 * kr2) - 0.5 * f * quad - m * v_ap
+    return DualPoint(f, m, h_new, p_new, k_new, j_new, tau)
 
 
 def time_translation(t: float, tau: float = 1.0) -> GroupElement:

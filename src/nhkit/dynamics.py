@@ -32,11 +32,13 @@ class PhasePoint:
 def evolve(x0: PhasePoint, t: float) -> PhasePoint:
     """Exact flow: q(t) = (p0/m) tau sin(t/tau) + q0 cos(t/tau),
     p(t) = p0 cos(t/tau) - (m/tau) q0 sin(t/tau)."""
-    c = math.cos(t / x0.tau)
-    s = math.sin(t / x0.tau)
-    q = x0.p * (x0.tau * s / x0.m) + x0.q * c
-    p = x0.p * c - x0.q * (x0.m * s / x0.tau)
-    return replace(x0, q=q, p=p)
+    m, tau, q1, q2, p1, p2 = x0.m, x0.tau, x0.q.x1, x0.q.x2, x0.p.x1, x0.p.x2
+    c = math.cos(t / tau)
+    s = math.sin(t / tau)
+    wq, wp = tau * s / m, m * s / tau
+    q = Vec2(p1 * wq + q1 * c, p2 * wq + q2 * c)
+    p = Vec2(p1 * c - q1 * wp, p2 * c - q2 * wp)
+    return PhasePoint(q, p, m, tau, x0.C1, x0.C2)
 
 
 def hamiltonian(x: PhasePoint) -> float:

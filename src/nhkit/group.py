@@ -6,7 +6,9 @@ with the characteristic time tau and a variant flag.  The oscillating variant
 uses circular functions of b/tau, the expanding variant hyperbolic ones.  The
 hyperbolic form is obtained by the substitution tau -> i*tau carried out on
 the circular form, which keeps every axiom intact; concretely this flips the
-sign of each sine that enters with a 1/tau weight (see `_TimeFns`).
+sign of each sine that enters with a 1/tau weight and of the cocycle
+coefficient kappa (see `_time_fns`).  The group law works on the coordinates
+as plain floats and builds only the objects it returns.
 """
 
 from __future__ import annotations
@@ -73,32 +75,19 @@ class Variant(Enum):
     EXPANDING = "expanding"
 
 
-class _TimeFns:
-    """Scalar helpers c(t), s+(t), s-(t) for one variant and tau.
+def _time_fns(variant: Variant, tau: float, t: float) -> tuple[float, float, float, float]:
+    """(c, s+, s-, kappa) at time t.
 
-    Oscillating: c = cos(t/tau), s+ = tau sin(t/tau), s- = sin(t/tau)/tau.
-    Expanding:   c = cosh(t/tau), s+ = tau sinh(t/tau), s- = -sinh(t/tau)/tau.
-    kappa is the coefficient of the F-cocycle: +1/tau^2 resp. -1/tau^2.
+    Oscillating: c = cos(t/tau), s+ = tau sin(t/tau), s- = sin(t/tau)/tau, kappa = 1/tau^2.
+    Expanding:   c = cosh(t/tau), s+ = tau sinh(t/tau), s- = -sinh(t/tau)/tau, kappa = -1/tau^2.
+    kappa is the coefficient of the F-cocycle.
     """
-
-    __slots__ = ("tau", "kappa", "_circ")
-
-    def __init__(self, variant: Variant, tau: float):
-        self.tau = tau
-        self._circ = variant is Variant.OSCILLATING
-        self.kappa = (1.0 if self._circ else -1.0) / (tau * tau)
-
-    def c(self, t: float) -> float:
-        x = t / self.tau
-        return math.cos(x) if self._circ else math.cosh(x)
-
-    def s_plus(self, t: float) -> float:
-        x = t / self.tau
-        return self.tau * (math.sin(x) if self._circ else math.sinh(x))
-
-    def s_minus(self, t: float) -> float:
-        x = t / self.tau
-        return (math.sin(x) if self._circ else -math.sinh(x)) / self.tau
+    x = t / tau
+    if variant is Variant.OSCILLATING:
+        s = math.sin(x)
+        return math.cos(x), tau * s, s / tau, 1.0 / (tau * tau)
+    s = math.sinh(x)
+    return math.cosh(x), tau * s, -s / tau, -1.0 / (tau * tau)
 
 
 @dataclass(frozen=True)
@@ -209,61 +198,41 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     factor's angle.
     """
     _check_compatible(g1, g2)
-    fn = _TimeFns(g1.variant, g1.tau)
-    c = fn.c(g2.b)
-    sp = fn.s_plus(g2.b)
-    sm = fn.s_minus(g2.b)
-
-    a2r = g2.a.rot(g1.phi)
-    v2r = g2.v.rot(g1.phi)
-
-    a_mix = g1.a * c + g1.v * sp        # coefficient bundle of cos/sin on the first factor
-    v_mix = g1.v * c - g1.a * sm
-
-    alpha = (
-        g1.alpha
-        + g2.alpha
-        + 0.5 * fn.kappa * a_mix.cross(a2r)
-        + 0.5 * v_mix.cross(v2r)
-    )
+    c, sp, sm, kappa = _time_fns(g1.variant, g1.tau, g2.b)
+    a1, a2, v1, v2 = g1.a.x1, g1.a.x2, g1.v.x1, g1.v.x2
+    cr, sr = math.cos(g1.phi), math.sin(g1.phi)
+    # the second factor's a and v rotated by the first factor's angle
+    ar1, ar2 = cr * g2.a.x1 - sr * g2.a.x2, sr * g2.a.x1 + cr * g2.a.x2
+    vr1, vr2 = cr * g2.v.x1 - sr * g2.v.x2, sr * g2.v.x1 + cr * g2.v.x2
+    am1, am2 = a1 * c + v1 * sp, a2 * c + v2 * sp  # coefficient bundle of cos/sin on the first factor
+    vm1, vm2 = v1 * c - a1 * sm, v2 * c - a2 * sm
+    alpha = g1.alpha + g2.alpha + 0.5 * kappa * (am1 * ar2 - am2 * ar1) + 0.5 * (vm1 * vr2 - vm2 * vr1)
     theta = (
         g1.theta
         + g2.theta
-        + 0.5 * (g1.v.sq() * sp - g1.a.sq() * sm) * c
-        - g1.a.dot(g1.v) * sp * sm
-        + g1.v.dot(a2r) * c
-        - g1.a.dot(a2r) * sm
+        + 0.5 * ((v1 * v1 + v2 * v2) * sp - (a1 * a1 + a2 * a2) * sm) * c
+        - (a1 * v1 + a2 * v2) * sp * sm
+        + (v1 * ar1 + v2 * ar2) * c
+        - (a1 * ar1 + a2 * ar2) * sm
     )
     return GroupElement(
-        alpha=alpha,
-        theta=theta,
-        b=g1.b + g2.b,
-        a=a_mix + a2r,
-        v=v_mix + v2r,
-        phi=g1.phi + g2.phi,
-        variant=g1.variant,
-        tau=g1.tau,
+        alpha, theta, g1.b + g2.b, Vec2(am1 + ar1, am2 + ar2), Vec2(vm1 + vr1, vm2 + vr2), g1.phi + g2.phi,
+        g1.variant, g1.tau,
     )
 
 
 def inverse(g: GroupElement) -> GroupElement:
     """Group inverse of g."""
-    fn = _TimeFns(g.variant, g.tau)
-    c = fn.c(g.b)
-    sp = fn.s_plus(g.b)
-    sm = fn.s_minus(g.b)
-    theta = -g.theta - 0.5 * (g.v.sq() * sp - g.a.sq() * sm) * c + g.a.dot(g.v) * c * c
-    a_inv = (g.v * sp - g.a * c).rot(-g.phi)
-    v_inv = (-1.0 * g.v * c - g.a * sm).rot(-g.phi)
+    c, sp, sm, _ = _time_fns(g.variant, g.tau, g.b)
+    a1, a2, v1, v2 = g.a.x1, g.a.x2, g.v.x1, g.v.x2
+    theta = -g.theta - 0.5 * ((v1 * v1 + v2 * v2) * sp - (a1 * a1 + a2 * a2) * sm) * c + (a1 * v1 + a2 * v2) * c * c
+    # a and v before the rotation by -phi
+    aw1, aw2 = v1 * sp - a1 * c, v2 * sp - a2 * c
+    vw1, vw2 = -v1 * c - a1 * sm, -v2 * c - a2 * sm
+    cr, sr = math.cos(-g.phi), math.sin(-g.phi)
     return GroupElement(
-        alpha=-g.alpha,
-        theta=theta,
-        b=-g.b,
-        a=a_inv,
-        v=v_inv,
-        phi=-g.phi,
-        variant=g.variant,
-        tau=g.tau,
+        -g.alpha, theta, -g.b, Vec2(cr * aw1 - sr * aw2, sr * aw1 + cr * aw2),
+        Vec2(cr * vw1 - sr * vw2, sr * vw1 + cr * vw2), -g.phi, g.variant, g.tau,
     )
 
 
@@ -272,9 +241,11 @@ def act_spacetime(g: GroupElement, t: float, x: Vec2) -> tuple[float, Vec2]:
 
     The central parameters alpha, theta do not enter.
     """
-    fn = _TimeFns(g.variant, g.tau)
-    x_new = x.rot(g.phi) + g.v * fn.s_plus(t) + g.a * fn.c(t)
-    return (t + g.b, x_new)
+    c, sp, _, _ = _time_fns(g.variant, g.tau, t)
+    cr, sr = math.cos(g.phi), math.sin(g.phi)
+    return t + g.b, Vec2(
+        cr * x.x1 - sr * x.x2 + g.v.x1 * sp + g.a.x1 * c, sr * x.x1 + cr * x.x2 + g.v.x2 * sp + g.a.x2 * c
+    )
 
 
 def unextended_project(g: GroupElement) -> GroupElement:

@@ -355,6 +355,26 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert _main("rep-check", "--case", "b", "--samples", "1") == 3
 
 
+BASE = {"h": 0.3, "p": [1.0, 0.0], "k": [0.0, 0.5], "j": 0.2}  # an orbit-atlas base, a dual point without f, m
+
+
+@pytest.mark.parametrize("command,inputs", [
+    # the expanding variant's cosh(4/tau) overflows at 1e-3, and its 1/tau^2 at 1e-200
+    ("group-check", {"taus": [1e-3], "samples": 1}),
+    ("group-check", {"taus": [1.0, 1e-200], "samples": 1}),
+    # the invariants hold 1/tau^2, which overflows at 1e-200, and tau^2, which overflows at 1e200
+    ("classify", {"point": {"f": 0.5, "m": 1.0, **BASE, "tau": 1e-200}}),
+    ("classify", {"point": {"f": 0.5, "m": 1.0, **BASE, "tau": 1e200}}),
+    ("orbit-atlas", {"base": {**BASE, "tau": 1e-200}}),
+    ("orbit-atlas", {"base": {**BASE, "tau": 1e200}}),
+])
+def test_taus_and_dual_point_taus_the_law_cannot_evaluate_exit_2(tmp_path, command, inputs):
+    """Each exited 3 before its rule: a math range error, a float division by zero or a result out of range."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"inputs": inputs}))
+    assert _main(command, "--scenario", str(scenario)) == 2
+
+
 def test_cli_flag_overrides(tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({"command": "group-check", "seed": 1, "inputs": {"samples": 40}}))

@@ -34,6 +34,12 @@ def test_evolve_goldens():
     assert (xp.p - x0.p).norm() <= 1e-12
 
 
+def test_evolve_carries_the_labels_bit_for_bit():
+    x0 = PhasePoint(Vec2(0.3, -0.2), Vec2(0.1, 0.7), 0.1 + 0.2, 1.0 / 3.0, math.pi, -0.0)
+    x = evolve(x0, 1.234)
+    assert [v.hex() for v in (x.m, x.tau, x.C1, x.C2)] == [v.hex() for v in (x0.m, x0.tau, x0.C1, x0.C2)]
+
+
 def test_hamiltonian_goldens():
     assert hamiltonian(_x0(q=Vec2.zero(), p=Vec2.zero(), C1=1.0)) == pytest.approx(-0.5)
     assert hamiltonian(_x0(q=Vec2(1.0, 0.0), p=Vec2.zero(), C1=0.0)) == pytest.approx(0.5)

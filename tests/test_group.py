@@ -76,6 +76,54 @@ def test_inverse_golden_pure_boost():
     assert gi.a.as_tuple() == (0.0, 0.0)
 
 
+# Expanding-variant goldens.  On space-time the expanding law acts as x -> x^phi + v tau sinh(t/tau)
+# + a cosh(t/tau), the oscillating one with tau sin and cos: the continuation tau -> i tau.  Each
+# expected value below follows from that action and the addition theorems of cosh and sinh, so it
+# pins the sign of every hyperbolic weight, which the axiom tests cannot see.
+EXP = Variant.EXPANDING
+
+
+def test_expanding_compose_golden_translation_then_time():
+    tau, b, a = 2.0, 0.7, Vec2(1.5, -0.5)
+    ch, sh = math.cosh(b / tau), math.sinh(b / tau)
+    # acting after the time shift, the translation reads a cosh((t + b)/tau), which is
+    # a cosh(b/tau) cosh(t/tau) + (a sinh(b/tau)/tau) tau sinh(t/tau): weights cosh and +sinh/tau
+    out = compose(pure_translation(a, tau, EXP), pure_time(b, tau, EXP))
+    assert (out.b, out.phi, out.alpha) == (b, 0.0, 0.0)
+    for got, want in ((out.a, a * ch), (out.v, a * (sh / tau))):
+        assert got.x1 == pytest.approx(want.x1, rel=1e-15) and got.x2 == pytest.approx(want.x2, rel=1e-15)
+    # the theta cocycle -1/2 a^2 s-(b) c(b), with s- = -sinh/tau
+    assert out.theta == pytest.approx(0.5 * a.sq() * ch * sh / tau, rel=1e-15)
+    # the alpha cocycle of two translations is kappa/2 (a x a'), with kappa = -1/tau^2
+    out2 = compose(pure_translation(Vec2(1.0, 0.0), tau, EXP), pure_translation(Vec2(0.0, 1.0), tau, EXP))
+    assert out2.alpha == -0.5 / tau**2
+    assert compose(pure_translation(Vec2(1.0, 0.0), tau), pure_translation(Vec2(0.0, 1.0), tau)).alpha == 0.5 / tau**2
+
+
+def test_expanding_inverse_golden_after_a_time_shift():
+    tau, b, a = 0.5, 0.3, Vec2(-0.4, 1.1)
+    ch, sh = math.cosh(b / tau), math.sinh(b / tau)
+    # g = (time b) (translation a) sends (t, x) to (t + b, x + a cosh(t/tau)); its inverse subtracts
+    # a cosh((t - b)/tau) = a cosh(b/tau) cosh(t/tau) - (a sinh(b/tau)/tau) tau sinh(t/tau)
+    g = compose(pure_time(b, tau, EXP), pure_translation(a, tau, EXP))
+    assert (g.alpha, g.theta, g.b, g.a, g.v, g.phi) == (0.0, 0.0, b, a, Vec2.zero(), 0.0)
+    gi = inverse(g)
+    assert (gi.alpha, gi.b, gi.phi) == (0.0, -b, 0.0)
+    for got, want in ((gi.a, a * -ch), (gi.v, a * (sh / tau))):
+        assert got.x1 == pytest.approx(want.x1, rel=1e-15) and got.x2 == pytest.approx(want.x2, rel=1e-15)
+    # theta then cancels in g g^-1: the law adds -1/2 a^2 s-(-b) c(-b) - a.(a_inv) s-(-b) = +1/2 a^2 ch sh/tau
+    assert gi.theta == pytest.approx(-0.5 * a.sq() * ch * sh / tau, rel=1e-15)
+
+
+def test_expanding_action_golden_pure_boost():
+    tau, t, v = 2.0, 1.3, Vec2(0.6, -0.8)
+    s_plus = tau * math.sinh(t / tau)
+    t_new, x = act_spacetime(pure_boost(v, tau, EXP), t, Vec2(0.25, 0.5))
+    assert t_new == t
+    assert x.x1 == pytest.approx(0.25 + 0.6 * s_plus, rel=1e-15)
+    assert x.x2 == pytest.approx(0.5 - 0.8 * s_plus, rel=1e-15)
+
+
 def test_inverse_axiom_and_involution(rng):
     for variant in Variant:
         for tau in (0.5, 1.0, 2.0):
