@@ -53,7 +53,7 @@ from .moyal import (
     tri_kernel_closed_form,
     weyl_symbol_axis,
 )
-from .representations import CASES, InducedRep2D, basis_scale, check_case
+from .representations import CASES, InducedRep2D, _worst, basis_scale, check_case
 
 
 class ScenarioError(ValueError):
@@ -119,6 +119,9 @@ ROWS_MAX = 10**6  # evolve's t_max/dt: one CSV row of about 100 bytes per step, 
 _real = _rule(_is_real, "a finite number", float)
 _positive = _rule(lambda x: _is_real(x) and x > 0, "a positive number", float)
 _nonzero = _rule(lambda x: _is_real(x) and x != 0, "a nonzero number", float)
+# rep-check's samplers draw from [-scale, scale], whose width NumPy needs finite
+_scale = _rule(lambda x: _is_real(x) and x > 0 and math.isfinite(2.0 * x), "a positive number with 2 scale finite",
+               float)
 _grid = _rule(lambda x: type(x) is int and 0 < x <= GRID_MAX and x % 8 == 0, f"a multiple of 8 from 8 to {GRID_MAX}")
 _vec = _rule(
     lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_real, x)),
@@ -226,11 +229,6 @@ def _run_evolve(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[st
     return metrics, passes, rows
 
 
-def _worst(*residuals: float) -> float:
-    """The largest residual, or NaN if any is NaN (max() keeps its first argument over a NaN)."""
-    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
-
-
 def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
     rng = np.random.default_rng(seed)
     assoc = ident = inv_res = action = blind = proj = 0.0
@@ -252,7 +250,7 @@ def _run_group_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
                 gi = compose(g1, inverse(g1))
                 scale_i = max(1.0, g1.a.sq(), g1.v.sq()) if expanding else 1.0
                 inv_res = _worst(inv_res, element_distance(gi, e) / scale_i)
-                t, x = rng.uniform(-2, 2), Vec2(*rng.uniform(-2, 2, 2))
+                t, x = rng.uniform(-2, 2), Vec2(*rng.uniform(-2, 2, 2).tolist())
                 t1, x1 = act_spacetime(g2, t, x)
                 t2, x2 = act_spacetime(g1, t1, x1)
                 t3, x3 = act_spacetime(compose(g1, g2), t, x)
@@ -361,7 +359,7 @@ def _run_rep_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list
         metrics = check_case(case, labels, rng, inputs["samples"], inputs["scale"], inputs["grid"], n, kmax)
     passes = {name: metrics[f"{name}_max"] <= tol[name] for name in ("unitarity", "homomorphism")}
     if metrics["generator_residuals"]:
-        passes["generators"] = max(metrics["generator_residuals"].values()) <= tol["generator"]
+        passes["generators"] = _worst(*metrics["generator_residuals"].values()) <= tol["generator"]
     return metrics, passes, []
 
 
@@ -441,7 +439,7 @@ SPECS = {
         "rank_samples": (_count(1, DRAWS_MAX), 200),
     }, {"jacobi": 1e-13, "slope": 0.1}),
     "rep-check": (_run_rep_check, {
-        "case": (_case, "f"), "tau": (_tau, 1.0), "samples": (_count(1, DRAWS_MAX), 50), "scale": (_real, 0.5),
+        "case": (_case, "f"), "tau": (_tau, 1.0), "samples": (_count(1, DRAWS_MAX), 50), "scale": (_scale, 0.5),
         "grid": (_grid, 16),
         # the case's defaults, None for cases h..k, which have no Hermite basis
         "hermite_n": (_count(4, BASIS_MAX), lambda inputs: CASES[inputs["case"]].n),

@@ -179,7 +179,7 @@ def central(alpha: float, theta: float, tau: float = 1.0, variant: Variant = Var
 
 def random_element(rng, tau: float = 1.0, variant: Variant = Variant.OSCILLATING, scale: float = 2.0) -> GroupElement:
     """An element with all eight coordinates drawn uniformly from [-scale, scale] by `rng`."""
-    v = rng.uniform(-scale, scale, size=8)
+    v = rng.uniform(-scale, scale, size=8).tolist()
     return GroupElement(v[0], v[1], v[2], Vec2(v[3], v[4]), Vec2(v[5], v[6]), v[7], variant, tau)
 
 

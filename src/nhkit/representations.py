@@ -3,17 +3,18 @@ realized on truncated Hermite states (cases with function-space carriers) or
 as explicit characters.
 
 Group elements are given in the coordinates of the displayed group law,
-g = center * time * (translation boost) * rotation.  The representation
-formulas compose the nilpotent factor with exponentials of the quadratic
-intertwining generators in the factorization g = n * time * rotation, so
-every application first rewrites the element through the group law itself
-(`nk_decompose`); this is what makes the homomorphism property hold exactly
-at the operator level.  The nilpotent factor is read off the generator
-table: U(n) = e^{i(f alpha + m(theta - a.v/2))} exp(i(a.P + v.K)) with the
-linear P, K of the carrier, one phase/shift displacement (`_nilpotent_apply`).
-H and J (cases A, F, G) and the intertwiner W (B..E) solve the orbit
-invariants of `coadjoint` with S = P^2 + K^2/tau^2 and X = P x K for quad and
-cross; the Hermite basis scale lambda is read off H or W (`basis_scale`).
+g = center * time * (translation boost) * rotation.  A Hermite carrier factors
+g = n_g * time(b) * rotation(phi) once per application, through the group law
+itself (`nk_decompose`), which makes the homomorphism property exact at the operator
+level, and composes U(n_g) with exponentials of the quadratic generators.  U(n)
+is read off the generator table: e^{i(f alpha + m(theta - a.v/2))} exp(i(a.P + v.K))
+with the linear P, K of the carrier, one phase/shift displacement (`_nilpotent_apply`).
+On the grids of B and C each node sees n_g moved to the node, time(-tau t) n_g
+time(tau t), and one little-group factor common to all nodes; on H, I and J the
+same move transports the characters (rho, kappa).  H and J (cases A, F, G) and
+the intertwiner W (B..E) solve the orbit invariants of `coadjoint` with
+S = P^2 + K^2/tau^2 and X = P x K for quad and cross; the Hermite basis scale
+lambda is read off H or W (`basis_scale`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .group import (
     Variant,
     Vec2,
     compose,
-    inverse,
     pure_boost,
     pure_rotation,
     pure_time,
@@ -125,14 +125,10 @@ class RepLabels:
         elif cls in (OrbitClass.H, OrbitClass.I, OrbitClass.J):
             if f != 0.0 or m != 0.0:
                 raise StratumError("classes H/I/J need f = m = 0")
-            if cls is OrbitClass.I:
-                resid = self.rho + self.kappa_vec.perp() * (1.0 / tau)
-                if resid.norm() > 1e-12 * max(1.0, self.rho.norm()):
-                    raise StratumError("class I needs rho + kappa^perp/tau = 0")
-            if cls is OrbitClass.J:
-                resid = self.rho - self.kappa_vec.perp() * (1.0 / tau)
-                if resid.norm() > 1e-12 * max(1.0, self.rho.norm()):
-                    raise StratumError("class J needs rho - kappa^perp/tau = 0")
+            if cls is not OrbitClass.H:  # I: rho + kappa^perp/tau = 0, J: rho - kappa^perp/tau = 0
+                sign = 1.0 if cls is OrbitClass.I else -1.0
+                if (self.rho + self.kappa_vec.perp() * (sign / tau)).norm() > 1e-12 * max(1.0, self.rho.norm()):
+                    raise StratumError(f"class {cls.value} needs rho {'+' if sign > 0 else '-'} kappa^perp/tau = 0")
 
 
 def labels_case_a(f: float, m: float, C1: float, C2: float, tau: float = 1.0) -> RepLabels:
@@ -271,6 +267,8 @@ def generators(labels: RepLabels) -> dict[str, QuadraticOperator]:
     ident = linear(2, 1.0)
     m11, m12, m21, m22 = casimir_matrix(f, m, tau)
     det = m11 * m22 - m12 * m21
+    if det == 0.0 or not math.isfinite(det):
+        raise ValueError(f"the Casimir determinant -2m^2 + 2f^2/tau^2 is {det}")
     r1, r2 = labels.C1 * ident - s_op, labels.C2 * ident - x_op
     h_op = (1.0 / det) * (m22 * r1 - m12 * r2)
     j_op = (1.0 / det) * (m11 * r2 - m21 * r1)
@@ -418,33 +416,26 @@ class InducedRepBC:
         self.rows = _nilpotent_rows(_operators_1d(labels))
         self._sign = _sigma(labels)
 
-    def coset_shift(self, g: GroupElement) -> float:
-        return g.b / self.labels.tau + self._sign * g.phi
-
     def apply(self, g: GroupElement, state: HermiteState) -> HermiteState:
         _require_stratum(self.labels, g)
         if state.dims != 1 or state.coeffs.shape != (self.n_t, self.ctx.n):
             raise ValueError(f"cases B/C act on a stack of {self.n_t} 1D states of {self.ctx.n} modes")
         tau = self.labels.tau
-        sigma = self.coset_shift(g)
-        steps = _grid_steps(sigma, self.spacing, f"case {self.labels.orbit_class.value}")
-        shifted = np.roll(state.coeffs, steps, axis=0)
+        n_g, b, phi = nk_decompose(g)
+        steps = _grid_steps(b / tau + self._sign * phi, self.spacing, f"case {self.labels.orbit_class.value}")
+        # node t_i's induction element time(-tau t_i) g time(tau (t_i - shift)) is n_i time(beta) rot(phi),
+        # with n_i = time(-tau t_i) n_g time(tau t_i) and beta = b - tau shift the same at every node
+        beta = -self._sign * tau * phi
+        stack = replace(state, coeffs=np.roll(state.coeffs, steps, axis=0))
+        if beta != 0.0:
+            stack = exp_apply(self.w_gen, beta, stack, self.ctx)
         out = np.empty_like(state.coeffs)
         for i in range(self.n_t):
-            t_i = i * self.spacing
-            eta = compose(
-                compose(inverse(pure_time(tau * t_i, tau)), g),
-                pure_time(tau * (t_i - sigma), tau),
-            )
-            n_eta, b_eta, phi_eta = nk_decompose(eta)
-            if abs(b_eta / tau + self._sign * phi_eta) > 1e-9:
-                raise StratumError("induction element left the little group")
-            psi = replace(state, coeffs=shifted[i])
-            if b_eta != 0.0:
-                psi = exp_apply(self.w_gen, b_eta, psi, self.ctx)
-            psi = _nilpotent_apply(self.rows, self.labels, n_eta, psi, self.ctx)
-            out[i] = psi.coeffs * cmath.exp(1j * b_eta * self.labels.kappa1)
-        return replace(state, coeffs=out)
+            t_i = tau * (i * self.spacing)
+            n_i = compose(compose(pure_time(-t_i, tau), n_g), pure_time(t_i, tau))
+            node = replace(stack, coeffs=stack.coeffs[i])
+            out[i] = _nilpotent_apply(self.rows, self.labels, n_i, node, self.ctx).coeffs
+        return replace(state, coeffs=out * cmath.exp(1j * beta * self.labels.kappa1))
 
 
 # --------------------------------------------------------------------------
@@ -484,9 +475,22 @@ class InducedRepDE:
 # cases H, I, J
 # --------------------------------------------------------------------------
 
+def _transported_character(labels: RepLabels, g: GroupElement, arg, rot):
+    """cos(arg) u + sin(arg) w, u = rho_r.a + kappa_r.v and w = tau rho_r.v - kappa_r.a/tau with
+    rho_r = R(rot) rho, kappa_r = R(rot) kappa: the f = m = 0 coadjoint transport of (rho, kappa)
+    paired with g's (a, v).  Broadcasts over arg and rot, one per grid node."""
+    tau, rho, kap, a, v = labels.tau, labels.rho, labels.kappa_vec, g.a, g.v
+    cr, sr = np.cos(rot), np.sin(rot)
+    r1, r2 = cr * rho.x1 - sr * rho.x2, sr * rho.x1 + cr * rho.x2
+    k1, k2 = cr * kap.x1 - sr * kap.x2, sr * kap.x1 + cr * kap.x2
+    u = r1 * a.x1 + r2 * a.x2 + k1 * v.x1 + k2 * v.x2
+    w = tau * (r1 * v.x1 + r2 * v.x2) - (k1 * a.x1 + k2 * a.x2) / tau
+    return np.cos(arg) * u + np.sin(arg) * w
+
+
 class InducedRepHIJ:
-    """Unextended cases on scalar grids (2D for H, 1D for I and J): pointwise
-    character phases composed with exact lattice shifts."""
+    """Unextended cases on scalar grids (2D for H, 1D for I and J): the transported character
+    composed with exact lattice shifts."""
 
     def __init__(self, labels: RepLabels):
         if labels.orbit_class not in (OrbitClass.H, OrbitClass.I, OrbitClass.J):
@@ -496,64 +500,26 @@ class InducedRepHIJ:
 
     def apply(self, g: GroupElement, state: ScalarGrid) -> ScalarGrid:
         _require_stratum(self.labels, g)
-        lab = self.labels
-        tau = lab.tau
-        rho, kap = lab.rho, lab.kappa_vec
+        lab, tau = self.labels, self.labels.tau
         if state.coeffs.ndim != self.rank:
             raise ValueError(f"case {lab.orbit_class.value} acts on a {self.rank}D grid")
-        if lab.orbit_class is OrbitClass.H:
+        if lab.orbit_class is OrbitClass.H:  # b down the rows of [0, 2 pi tau), phi across the columns of [0, 2 pi)
             n1, n2 = state.coeffs.shape
-            steps1 = _grid_steps(g.b, 2.0 * math.pi * tau / n1, "case H time shift")
-            steps2 = _grid_steps(g.phi, 2.0 * math.pi / n2, "case H rotation shift")
-            t1 = np.arange(n1) * (2.0 * math.pi * tau / n1)
-            t2 = np.arange(n2) * (2.0 * math.pi / n2)
-            arg = (t1 - g.b) / tau
-            ca, sa = np.cos(arg), np.sin(arg)
-            cr, sr = np.cos(-t2), np.sin(-t2)
-            # a^{-t2}, v^{-t2} per column
-            a1 = cr * g.a.x1 - sr * g.a.x2
-            a2 = sr * g.a.x1 + cr * g.a.x2
-            v1 = cr * g.v.x1 - sr * g.v.x2
-            v2 = sr * g.v.x1 + cr * g.v.x2
-            big_a1 = np.outer(ca, a1) + tau * np.outer(sa, v1)
-            big_a2 = np.outer(ca, a2) + tau * np.outer(sa, v2)
-            big_b1 = np.outer(ca, v1) - np.outer(sa, a1) / tau
-            big_b2 = np.outer(ca, v2) - np.outer(sa, a2) / tau
-            phase = np.exp(
-                1j * (rho.x1 * big_a1 + rho.x2 * big_a2 + kap.x1 * big_b1 + kap.x2 * big_b2)
-            )
-            rolled = np.roll(state.coeffs, (steps1, steps2), axis=(0, 1))
-            return replace(state, coeffs=phase * rolled)
-
-        n_t = state.coeffs.shape[0]
-        spacing = 2.0 * math.pi / n_t
-        if lab.orbit_class is OrbitClass.I:
-            sigma = g.b / tau - g.phi
-            extra = tau * g.phi * lab.C5
+            steps = (_grid_steps(g.b, 2.0 * math.pi * tau / n1, "case H time shift"),
+                     _grid_steps(g.phi, 2.0 * math.pi / n2, "case H rotation shift"))
+            t1 = np.arange(n1)[:, None] * (2.0 * math.pi * tau / n1)
+            phase = _transported_character(lab, g, (t1 - g.b) / tau, np.arange(n2) * (2.0 * math.pi / n2))
         else:
-            sigma = g.b / tau + g.phi
-            extra = -tau * g.phi * lab.C5p
-        steps = _grid_steps(sigma, spacing, f"case {lab.orbit_class.value}")
-        t = np.arange(n_t) * spacing
-        arg = t - sigma
-        ca, sa = np.cos(arg), np.sin(arg)
-        # The characters act on the nilpotent factor of the induction element
-        # in its n * little-group factorization, which rotates (rho, kappa) by
-        # phi relative to the raw coordinates of that element (equality with
-        # the group-operation construction is covered by a test).
-        rho = rho.rot(g.phi)
-        kap = kap.rot(g.phi)
-        phase = np.exp(
-            1j
-            * (
-                extra
-                + rho.x1 * (g.a.x1 * ca + tau * g.v.x1 * sa)
-                + rho.x2 * (g.a.x2 * ca + tau * g.v.x2 * sa)
-                + kap.x1 * (g.v.x1 * ca - g.a.x1 * sa / tau)
-                + kap.x2 * (g.v.x2 * ca - g.a.x2 * sa / tau)
-            )
-        )
-        return replace(state, coeffs=phase * np.roll(state.coeffs, steps))
+            # the characters act on the nilpotent factor of the induction element in its
+            # n * little-group factorization, whose (rho, kappa) the rotation by phi moves
+            n_t = state.coeffs.shape[0]
+            spacing = 2.0 * math.pi / n_t
+            sign, c5 = (-1.0, lab.C5) if lab.orbit_class is OrbitClass.I else (1.0, -lab.C5p)
+            shift = g.b / tau + sign * g.phi
+            steps = (_grid_steps(shift, spacing, f"case {lab.orbit_class.value}"),)
+            phase = tau * g.phi * c5 + _transported_character(lab, g, np.arange(n_t) * spacing - shift, g.phi)
+        rolled = np.roll(state.coeffs, steps, axis=tuple(range(self.rank)))
+        return replace(state, coeffs=np.exp(1j * phase) * rolled)
 
 
 def rep_k(labels: RepLabels, g: GroupElement) -> complex:
@@ -619,9 +585,9 @@ def _free(rng, tau, scale, grid):  # all eight coordinates from [-scale, scale]
 def _on_grid(reach: int, b_step):
     """A sampler: nilpotent coordinates from [-scale, scale], b and phi at most `reach` grid steps from 0."""
     def draw(rng, tau, scale, grid):
-        v = rng.uniform(-scale, scale, size=6)
-        b = b_step(tau, grid) * rng.integers(-reach, reach + 1)
-        phi = (2.0 * math.pi / grid) * rng.integers(-reach, reach + 1)
+        v = rng.uniform(-scale, scale, size=6).tolist()
+        b = b_step(tau, grid) * int(rng.integers(-reach, reach + 1))
+        phi = (2.0 * math.pi / grid) * int(rng.integers(-reach, reach + 1))
         return GroupElement(v[0], v[1], b, Vec2(v[2], v[3]), Vec2(v[4], v[5]), phi, Variant.OSCILLATING, tau)
     return draw
 
@@ -692,6 +658,10 @@ def case_setup(case: str, labels: RepLabels, rng, n: int | None = None, kmax: in
     return ctx, InducedRepBC(labels, ctx, n_t=grid), replace(psi, coeffs=vals / np.linalg.norm(vals))
 
 
+def _worst(*residuals: float) -> float:  # the largest, or NaN if any is (max() drops a NaN after its first argument)
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def check_case(case: str, labels: RepLabels, rng, samples: int, scale: float, grid: int = 16,
                n: int | None = None, kmax: int | None = None) -> dict:
     """The metrics rep-check reports for `case`, all draws from `rng`: the worst residuals over
@@ -708,8 +678,8 @@ def check_case(case: str, labels: RepLabels, rng, samples: int, scale: float, gr
         else:
             hom, unit, out = homomorphism_residual(rep.apply, g1, g2, state)
             if ctx is not None:
-                tail = max(tail, out.tail_fraction())
-        hom_max, unit_max = max(hom_max, hom), max(unit_max, unit)
+                tail = _worst(tail, out.tail_fraction())
+        hom_max, unit_max = _worst(hom_max, hom), _worst(unit_max, unit)
     directions = _DIRECTION_BUILDERS if row.carrier is InducedRep2D else ()
     return {
         "case": case,

@@ -340,6 +340,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert _main("rep-check", "--case", "a", "--labels", '{"f":3,"m":1e300,"C1":1,"C2":0.5}', "--samples", "1",
                  "--hermite-n", "8") == 2
     assert _main("moyal-check", "--m", "1e300", "--samples", "1", "--hermite-n", "8", "--nodes", "8") == 2
+    # and labels whose Casimir determinant -2m^2 + 2f^2/tau^2 underflows to 0 (each exited 3, division by zero)
+    assert _main("moyal-check", "--m", "1e-300") == 2
+    assert _main("moyal-check", "--m", "1e-300", "--tau", "1e5") == 2
+    assert _main("rep-check", "--case", "a", "--tau", "1e5", "--labels", '{"f":1e-300,"m":1e-300,"C1":1,"C2":0.5}') == 2
+    assert _main("rep-check", "--case", "g", "--labels", '{"f":1e-300,"C1":0.8,"C2":0.4}') == 2
+    # the samplers draw from [-scale, scale], whose width NumPy needs finite: -1 and 1e308 exited 3,
+    # and 0 drew only identities
+    for scale in (-1, 0, 1e308):
+        bad.write_text(json.dumps({"inputs": {"case": "f", "scale": scale}}))
+        assert _main("rep-check", "--scenario", str(bad)) == 2
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"
@@ -373,6 +383,17 @@ def test_taus_and_dual_point_taus_the_law_cannot_evaluate_exit_2(tmp_path, comma
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"inputs": inputs}))
     assert _main(command, "--scenario", str(scenario)) == 2
+
+
+def test_rep_check_nan_residuals_fail(tmp_path, capsys):
+    """At scale 1e300 every sampled residual is NaN; a running max() kept 0.0 and the check exited 0."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"inputs": {"case": "f", "scale": 1e300, "samples": 2}}))
+    with warnings.catch_warnings():  # NumPy's overflow warnings on the way to the NaN
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _main("rep-check", "--scenario", str(scenario)) == 1
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert math.isnan(metrics["homomorphism_max"]) and math.isnan(metrics["unitarity_max"])
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -344,6 +344,14 @@ def _case(labels):  # the letter of the labels' row in CASES
     return labels.orbit_class.value.lower()
 
 
+def _at(case, tau):  # the case's canonical labels at another tau
+    return CASES[case].factory(**CASES[case].labels, tau=tau)
+
+
+# a tau-for-1/tau slip in the node times cannot show at tau = 1
+BC_TAUS = [LAB_B, LAB_C, _at("b", 2.0), _at("c", 2.0), _at("b", 0.5), _at("c", 0.5)]
+
+
 @pytest.mark.parametrize("labels,sign", [(LAB_B, 1.0), (LAB_C, -1.0)])
 def test_case_bc_identity_and_alpha_phase(rng, labels, sign):
     _, rep, state = case_setup(_case(labels), labels, rng)  # one rephased state per node of N_T
@@ -363,17 +371,42 @@ def test_case_bc_time_flow_is_exact(rng, labels):
     assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-6
 
 
-@pytest.mark.parametrize("labels", [LAB_B, LAB_C])
+@pytest.mark.parametrize("labels", BC_TAUS)
 def test_case_bc_homomorphism_and_unitarity(rng, labels):
     _, rep, state = case_setup(_case(labels), labels, rng)
     sampler = CASES[_case(labels)].sampler
     worst = 0.0
     units = []
     for _ in range(10):
-        g1, g2 = sampler(rng, TAU, 0.5, N_T), sampler(rng, TAU, 0.5, N_T)
+        g1, g2 = sampler(rng, labels.tau, 0.5, N_T), sampler(rng, labels.tau, 0.5, N_T)
         worst = max(worst, hom_residual(rep.apply, g1, g2, state, units))
     assert worst <= 1e-3  # truncation-limited; calibrated at N = 96
     assert max(units) <= 1e-10
+
+
+@pytest.mark.parametrize("labels", BC_TAUS)
+def test_case_bc_group_law_oracle(rng, labels):
+    """Node i against its induction element eta_i = time(-tau t_i) g time(tau (t_i - shift)), rebuilt
+    through the group law and factored as n * time(b) * rotation(phi): it lies in n * little group
+    (b/tau + sigma phi = 0), and node i of U(g) is e^{i b kappa1} U(n) W(b) of the rolled stack."""
+    case = _case(labels)
+    ctx, rep, state = case_setup(case, labels, rng)
+    tau, sign, step = labels.tau, (1.0 if case == "b" else -1.0), 2 * math.pi / N_T
+    sampler = CASES[case].sampler
+    w_gen = intertwiner_generator(labels)
+    draws = [sampler(rng, tau, 0.5, N_T) for _ in range(3)]
+    for g in draws[:2] + [replace(draws[2], phi=2 * step)]:  # W's time -sigma tau phi is nonzero in the last
+        shift = g.b / tau + sign * g.phi
+        rolled = np.roll(state.coeffs, round(shift / step), axis=0)
+        out = rep.apply(g, state)
+        for i in (0, 5, 11):
+            t_i = i * step
+            eta = compose(compose(inverse(pure_time(tau * t_i, tau)), g), pure_time(tau * (t_i - shift), tau))
+            n_eta, b_eta, phi_eta = nk_decompose(eta)
+            assert abs(b_eta / tau + sign * phi_eta) <= 1e-12
+            psi = exp_apply(w_gen, b_eta, replace(state, coeffs=rolled[i]), ctx)
+            oracle = cmath.exp(1j * b_eta * labels.kappa1) * inner_rep_apply(labels, n_eta, psi, ctx).coeffs
+            assert np.max(np.abs(out.coeffs[i] - oracle)) <= 1e-13, (i, g)
 
 
 def test_circle_grid_tail_fraction_matches_hermite_state(ctx1d, rng):
@@ -473,11 +506,11 @@ LAB_I = labels_case_i(kappa_vec=Vec2(0.0, -1.0), C5=0.7)
 LAB_J = labels_case_j(kappa_vec=Vec2(0.3, -1.0), C5p=0.7)
 
 
-def _torus_element(rng, n1=16, n2=16, scale=0.5):
+def _torus_element(rng, n1=16, n2=16, scale=0.5, tau=TAU):
     v = rng.uniform(-scale, scale, size=4)
-    b = (2 * math.pi * TAU / n1) * rng.integers(-3, 4)
+    b = (2 * math.pi * tau / n1) * rng.integers(-3, 4)
     phi = (2 * math.pi / n2) * rng.integers(-3, 4)
-    return GroupElement(0.0, 0.0, b, Vec2(v[0], v[1]), Vec2(v[2], v[3]), phi)
+    return GroupElement(0.0, 0.0, b, Vec2(v[0], v[1]), Vec2(v[2], v[3]), phi, Variant.OSCILLATING, tau)
 
 
 def test_case_h_homomorphism_exact(rng):
@@ -493,23 +526,26 @@ def test_case_h_homomorphism_exact(rng):
 
 
 def test_case_h_sample_point_oracle(rng):
-    _, rep, state = case_setup("h", LAB_H, rng)
-    n1 = n2 = 16
-    g = _torus_element(rng)
-    out = rep.apply(g, state)
-    i, jj = 3, 5
-    t1 = i * 2 * math.pi * TAU / n1
-    t2 = jj * 2 * math.pi / n2
-    arg = (t1 - g.b) / TAU
-    a_rot = g.a.rot(-t2)
-    v_rot = g.v.rot(-t2)
-    big_a = a_rot * math.cos(arg) + v_rot * (TAU * math.sin(arg))
-    big_b = v_rot * math.cos(arg) - a_rot * (math.sin(arg) / TAU)
-    phase = cmath.exp(1j * (LAB_H.rho.dot(big_a) + LAB_H.kappa_vec.dot(big_b)))
-    steps1 = round(g.b / (2 * math.pi * TAU / n1))
-    steps2 = round(g.phi / (2 * math.pi / n2))
-    expected = phase * state.coeffs[(i - steps1) % n1, (jj - steps2) % n2]
-    assert abs(out.coeffs[i, jj] - expected) <= 1e-14
+    # the canonical labels lie on the I stratum at tau = 0.5, so tau = 0.5 takes a shorter kappa
+    for labels in (LAB_H, _at("h", 2.0), labels_case_h(rho=Vec2(1.0, 0.0), kappa_vec=Vec2(0.0, 0.2), tau=0.5)):
+        tau = labels.tau
+        _, rep, state = case_setup("h", labels, rng)
+        n1 = n2 = 16
+        g = _torus_element(rng, tau=tau)
+        out = rep.apply(g, state)
+        i, jj = 3, 5
+        t1 = i * 2 * math.pi * tau / n1
+        t2 = jj * 2 * math.pi / n2
+        arg = (t1 - g.b) / tau
+        a_rot = g.a.rot(-t2)
+        v_rot = g.v.rot(-t2)
+        big_a = a_rot * math.cos(arg) + v_rot * (tau * math.sin(arg))
+        big_b = v_rot * math.cos(arg) - a_rot * (math.sin(arg) / tau)
+        phase = cmath.exp(1j * (labels.rho.dot(big_a) + labels.kappa_vec.dot(big_b)))
+        steps1 = round(g.b / (2 * math.pi * tau / n1))
+        steps2 = round(g.phi / (2 * math.pi / n2))
+        expected = phase * state.coeffs[(i - steps1) % n1, (jj - steps2) % n2]
+        assert abs(out.coeffs[i, jj] - expected) <= 1e-14, tau
 
 
 @pytest.mark.parametrize("labels", [LAB_I, LAB_J])
@@ -526,18 +562,21 @@ def test_case_ij_homomorphism_exact(rng, labels):
     assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("labels,sign", [(LAB_I, -1.0), (LAB_J, 1.0)])
+@pytest.mark.parametrize("labels,sign", [
+    (LAB_I, -1.0), (LAB_J, 1.0), (_at("i", 2.0), -1.0), (_at("j", 2.0), 1.0),
+    (_at("i", 0.5), -1.0), (_at("j", 0.5), 1.0),
+])
 def test_case_ij_group_operation_oracle(rng, labels, sign):
     """Pointwise agreement with the induced-representation construction
     evaluated through group operations."""
     _, rep, state = case_setup(_case(labels), labels, rng)
-    n = 16
-    g = CASES[_case(labels)].sampler(rng, TAU, 0.5, n)
-    sigma = g.b / TAU - g.phi if labels.orbit_class is OrbitClass.I else g.b / TAU + g.phi
+    n, tau = 16, labels.tau
+    g = CASES[_case(labels)].sampler(rng, tau, 0.5, n)
+    sigma = g.b / tau + sign * g.phi
     out = rep.apply(g, state)
     for i in (0, 4, 9):
         t0 = i * 2 * math.pi / n
-        eta = compose(compose(inverse(pure_time(TAU * t0)), g), pure_time(TAU * (t0 - sigma)))
+        eta = compose(compose(inverse(pure_time(tau * t0, tau)), g), pure_time(tau * (t0 - sigma), tau))
         n_eta, b_eta, phi_eta = nk_decompose(eta)
         c5 = labels.C5 if labels.orbit_class is OrbitClass.I else labels.C5p
         oracle = cmath.exp(
