@@ -57,7 +57,8 @@ from .representations import CASES, InducedRep2D, _worst, basis_scale, check_cas
 
 
 class ScenarioError(ValueError):
-    """Scenario fails schema validation."""
+    """Scenario fails schema validation, or a file named on the command line
+    cannot be read or written."""
 
 
 def _require(cond: bool, msg: str):
@@ -547,8 +548,12 @@ def _parse_json(text: str, where: str):
 def scenario_from_args(args) -> dict:
     scenario: dict = {"command": args.command, "seed": 0, "inputs": {}, "tolerances": {}}
     if args.scenario:
-        with open(args.scenario) as fh:
-            loaded = _parse_json(fh.read(), "scenario file")
+        try:
+            with open(args.scenario, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read scenario file {args.scenario}: {exc}") from exc
+        loaded = _parse_json(text, "scenario file")
         _require(isinstance(loaded, dict), "scenario file must hold a JSON object")
         scenario.update(loaded)
         scenario["command"] = args.command
@@ -571,30 +576,35 @@ def scenario_from_args(args) -> dict:
     return scenario
 
 
+def _write(flag: str, path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {flag} {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = scenario_from_args(args)
         report = run(scenario)
+        text, rows = report_json(report), report.get("csv")
+        if args.out:
+            _write("--out", args.out, text + "\n")
+        else:
+            print(text)
+        if rows:
+            if args.csv_out:
+                _write("--csv-out", args.csv_out, "\n".join(rows) + "\n")
+            elif args.out:
+                print("\n".join(rows))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = report_json(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    rows = report.get("csv")
-    if rows:
-        if args.csv_out:
-            with open(args.csv_out, "w") as fh:
-                fh.write("\n".join(rows) + "\n")
-        elif args.out:
-            print("\n".join(rows))
     return 0 if all(report["pass"].values()) else 1
 
 

@@ -7,11 +7,14 @@ lambda*y.  A `QuadraticOperator` is one symmetric coefficient matrix over
 z = (1, y, p), Hermitian exactly when that matrix is real; `linear` builds the
 at-most-linear operators and `product` multiplies two of them.  Polynomial and
 derivative operators have exact sparse matrix elements and act axis by axis
-(`op_apply`); exponentials of quadratic Hermitian generators are evaluated by
-eigendecomposition per exact sector, a connected component of the generator's
-nonzero pattern (unitary to machine precision); phase/shift displacements are
-the continuum matrix elements in closed form by default, or on a `pad=0`
-context the exponentials of the truncated generators.
+(`op_apply`); their dense matrices (`op_matrix`) are sums of Kronecker
+products of the same per-axis matrices.  Exponentials of quadratic Hermitian
+generators are evaluated by eigendecomposition per exact sector, a connected
+component of the generator's nonzero pattern (unitary to machine precision),
+in real arithmetic where a sector is real, with one stored eigenvector array
+per group of sectors.  Phase/shift displacements are the continuum matrix
+elements in closed form by default, or on a `pad=0` context the exponentials
+of the truncated generators.
 """
 
 from __future__ import annotations
@@ -288,40 +291,61 @@ def product(a: QuadraticOperator, b: QuadraticOperator) -> QuadraticOperator:
     return QuadraticOperator(coef)
 
 
-def op_apply(q: QuadraticOperator, coeffs: np.ndarray, ctx: BasisContext) -> np.ndarray:
-    """Apply the operator to coefficient arrays of shape (..., N) in 1D or
-    (..., N, N) in 2D with N x N matrices per axis: A @ C on the first axis,
-    C @ B.T on the last, X @ C @ Y.T for a product of factors on two axes.
-    The matrices are the real y and d = d/dy, so p = -i d weighs d by -i."""
+def _axis_terms(q: QuadraticOperator, ctx: BasisContext) -> list[dict]:
+    """The operator as a sum of products of N x N matrices on distinct axes, one
+    {axis: matrix} per term, an axis left out acting as the identity: per axis
+    i the terms on i alone (axis 0 carries the constant), then the products of a
+    left factor on i and a right factor on each later axis j.  The matrices are
+    the real y and d = d/dy, so p = -i d weighs d by -i."""
     dims, c = q.dims, q.coef
     if dims != ctx.dims:
         raise ValueError("operator/context dimension mismatch")
     y, d = ctx.y1d, ctx.d1d
-    on = lambda mat, arr, axis: arr @ mat.T if axis == dims - 1 else mat @ arr
-    out = np.zeros(np.shape(coeffs), dtype=complex)
-    for i in range(dims):  # the terms on axis i alone; axis 0 carries the constant
+    terms = []
+    for i in range(dims):
         yi, pi = 1 + i, 1 + dims + i
-        single = (
+        terms.append({i: (
             (c[0, 0] if i == 0 else 0.0) * np.eye(ctx.n) + 2 * c[0, yi] * y - 2j * c[0, pi] * d
             + c[yi, yi] * (y @ y) - c[pi, pi] * (d @ d) - 2j * c[yi, pi] * 0.5 * (y @ d + d @ y)
-        )
-        out += on(single, coeffs, i)
+        )})
         for j in range(i + 1, dims):  # factors on axes i and j commute
             yj, pj = 1 + j, 1 + dims + j
             right_of_y = 2 * c[yi, yj] * y - 2j * c[yi, pj] * d
             right_of_d = -2 * c[pi, pj] * d - 2j * c[pi, yj] * y
-            for left, right in ((y, right_of_y), (d, right_of_d)):
-                if right.any():
-                    out += on(left, on(right, coeffs, j), i)
+            terms += [{i: left, j: right} for left, right in ((y, right_of_y), (d, right_of_d)) if right.any()]
+    return terms
+
+
+def op_apply(q: QuadraticOperator, coeffs: np.ndarray, ctx: BasisContext) -> np.ndarray:
+    """Apply the operator to coefficient arrays of shape (..., N) in 1D or
+    (..., N, N) in 2D, term by term with its N x N matrices per axis: A @ C on
+    the first axis, C @ B.T on the last, X @ C @ Y.T for a product of factors
+    on two axes."""
+    last = ctx.dims - 1
+    out = np.zeros(np.shape(coeffs), dtype=complex)
+    for term in _axis_terms(q, ctx):
+        arr = coeffs
+        for axis in sorted(term, reverse=True):
+            arr = arr @ term[axis].T if axis == last else term[axis] @ arr
+        out += arr
     return out
 
 
 def op_matrix(q: QuadraticOperator, ctx: BasisContext) -> np.ndarray:
-    """Dense matrix of the operator over the flattened basis: `op_apply` on
-    the identity basis."""
-    size = ctx.n**ctx.dims
-    basis = np.eye(size).reshape((size,) + (ctx.n,) * ctx.dims)
-    return op_apply(q, basis, ctx).reshape(size, size).T
+    """Dense matrix of the operator over the flattened (row-major) basis: the
+    sum over its terms of the Kronecker products of their per-axis matrices,
+    accumulated in place one row block at a time, so no other N^dims x N^dims
+    array is made."""
+    n, eye = ctx.n, np.eye(ctx.n)
+    mat = np.zeros((n,) * 2 * ctx.dims, dtype=complex)  # row axes, then column axes
+    for term in _axis_terms(q, ctx):
+        if ctx.dims == 1:
+            mat += term[0]
+        else:
+            left, right = term.get(0, eye), term.get(1, eye)
+            for a in range(n):  # mat[a, b, a', b'] += left[a, a'] right[b, b']
+                mat[a] += left[a, None, :, None] * right[:, None, :]
+    return mat.reshape(n**ctx.dims, n**ctx.dims)
 
 
 def _sectors(mat: np.ndarray) -> list[np.ndarray]:
@@ -344,7 +368,8 @@ def _sectors(mat: np.ndarray) -> list[np.ndarray]:
 
 def _exp_factors(q: QuadraticOperator, ctx: BasisContext):
     """Per group of equal-size sectors of the assembled generator: indices,
-    eigenvalues, eigenvectors V and V^H.  Entries outside the sectors are
+    eigenvalues and eigenvectors V, one array, solved in real arithmetic where
+    the group's blocks are exactly real.  Entries outside the sectors are
     exactly 0, so the blocks' eigendecompositions are the matrix's."""
     key = q.cache_key()
     if key not in ctx._exp_cache:
@@ -353,11 +378,14 @@ def _exp_factors(q: QuadraticOperator, ctx: BasisContext):
         factors = []
         for idx in _sectors(mat):
             block = mat[idx[:, :, None], idx[:, None, :]]
+            if not block.imag.any():  # an exactly real block takes the real solver
+                block = block.real
             herm_defect = np.max(np.abs(block - block.conj().swapaxes(-1, -2)))
             if herm_defect > tol:
                 raise ValueError(f"assembled generator not Hermitian (defect {herm_defect:.2e})")
             w, v = np.linalg.eigh(block)
-            factors.append((idx, w, v, v.conj().swapaxes(-1, -2)))
+            # stored complex: matmul would cast a real V to complex on every apply
+            factors.append((idx, w, v.astype(complex, copy=False)))
         ctx._exp_cache[key] = factors
     return ctx._exp_cache[key]
 
@@ -380,14 +408,16 @@ def exp_apply(
     M must be Hermitian (q with real `coef`); each sector's block is checked
     before it is factored, and a `ValueError` is raised if it is not.  The
     exponential is exactly unitary because it is evaluated through the
-    eigendecomposition of M, one exact sector of M at a time.
+    eigendecomposition of M, one exact sector of M at a time: V e^{i t w} V^H x,
+    with V^H x formed as conj(x^H V), so only V is stored.
     """
     _warn_resolution(psi, "exp_apply input")
     stack = psi.coeffs.shape[: psi.coeffs.ndim - psi.dims]
     vec = psi.coeffs.reshape(stack + (-1,))
     out = np.empty(vec.shape, dtype=complex)
-    for idx, w, v, vh in _exp_factors(q, ctx):  # batched over each group's sectors
-        x = np.exp(1j * t * w) * (vh @ vec[..., idx][..., None])[..., 0]
+    for idx, w, v in _exp_factors(q, ctx):  # batched over each group's sectors
+        x = vec[..., idx][..., None, :].conj() @ v  # x^H V, the conjugate of V^H x
+        x = np.exp(1j * t * w) * x[..., 0, :].conj()
         out[..., idx] = (v @ x[..., None])[..., 0]
     return replace(psi, coeffs=out.reshape(psi.coeffs.shape))
 

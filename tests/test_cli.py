@@ -350,6 +350,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     for scale in (-1, 0, 1e308):
         bad.write_text(json.dumps({"inputs": {"case": "f", "scale": scale}}))
         assert _main("rep-check", "--scenario", str(bad)) == 2
+    # a scenario file that is missing, a directory or not UTF-8 text exited 3 ("internal error: [Errno 21]")
+    capsys.readouterr()
+    bad.write_bytes(b'{"inputs": {"tau": "\xff"}}')
+    for path in (tmp_path / "missing.json", tmp_path, bad):
+        assert _main("algebra-check", "--scenario", str(path)) == 2
+        assert str(path) in capsys.readouterr().err
+    # an output path that cannot be written exited 1 with a traceback, the code of a failed check
+    unwritable = str(tmp_path / "no-such-dir" / "out")
+    for flag in ("--out", "--csv-out"):
+        assert _main("orbit-atlas", flag, unwritable) == 2
+        assert f"{flag} {unwritable}" in capsys.readouterr().err
 
     # criterion failure -> 1, report still written
     target = tmp_path / "report.json"

@@ -151,11 +151,14 @@ def test_generator_consistency_central_difference(rng):
 
 
 def test_exp_apply_requires_hermitian_flag(rng):
-    """A complex coef is the non-Hermitian case: exp_apply refuses it."""
+    """A complex coef is the non-Hermitian case: exp_apply refuses it, also when
+    the assembled matrix is real (i (y p + p y)/2 is real and antisymmetric)."""
     ctx = ladder_build(8, 1.0, dims=1)
     real = random_hermitian_operator(rng, 1)
     psi = probe_state(ctx, rng, kmax=2)
-    for q in (real * 1j, linear(1, y=[1.0j]), real + linear(1, 0.5j)):
+    real_antisymmetric = QuadraticOperator(np.array([[0, 0, 0], [0, 0, 0.5j], [0, 0.5j, 0]]))
+    assert not op_matrix(real_antisymmetric, ctx).imag.any()
+    for q in (real * 1j, linear(1, y=[1.0j]), real + linear(1, 0.5j), real_antisymmetric):
         with pytest.raises(ValueError, match="not Hermitian"):
             exp_apply(q, 1.0, psi, ctx)
 
@@ -405,15 +408,39 @@ def canonical_setup(case: str, rng, n: int):
     return case_setup(case, CASES[case].factory(**CASES[case].labels), rng, n=n, kmax=5)
 
 
-@pytest.mark.parametrize("case", ["a", "f", "g"])
+def generators_of(case: str, rep) -> list[QuadraticOperator]:
+    """The generators a case exponentiates: H and J on 2D carriers, W on 1D ones."""
+    return [rep.ops["H"], rep.ops["J"]] if case in "afg" else [rep.w_gen]
+
+
+def identity_basis_assembly(q: QuadraticOperator, ctx: BasisContext) -> np.ndarray:
+    """Reference: `op_apply` on the identity basis, one column per basis state."""
+    size = ctx.n**ctx.dims
+    basis = np.eye(size).reshape((size,) + (ctx.n,) * ctx.dims)
+    return op_apply(q, basis, ctx).reshape(size, size).T
+
+
+@pytest.mark.parametrize("case", list("abcdefg"))
+def test_op_matrix_matches_identity_basis_assembly(case, rng):
+    """Each element of the Kronecker sum is the one product the identity basis picks
+    out of each term, added in the same order, so the two agree bit for bit."""
+    ctx, rep, _ = canonical_setup(case, rng, 12)
+    for q in generators_of(case, rep):
+        assert np.array_equal(op_matrix(q, ctx), identity_basis_assembly(q, ctx))
+
+
+@pytest.mark.parametrize("case", ["a", "b", "f", "g"])
 def test_sector_exp_apply_matches_dense_eigh(case, rng):
-    ctx, rep, psi = canonical_setup(case, rng, 16)
-    for name in ("H", "J"):
-        q = rep.ops[name]
+    ctx, rep, _ = canonical_setup(case, rng, 16)
+    states = [probe_state(ctx, rng, kmax=5) for _ in range(2)]
+    stack = replace(states[0], coeffs=np.stack([s.coeffs for s in states]))
+    for q in generators_of(case, rep):
         w, v = np.linalg.eigh(op_matrix(q, ctx))
         for t in (0.37, -1.9):
-            dense = v @ (np.exp(1j * t * w) * (v.conj().T @ psi.coeffs.ravel()))
-            assert np.linalg.norm(exp_apply(q, t, psi, ctx).coeffs.ravel() - dense) <= 1e-12
+            out = exp_apply(q, t, stack, ctx).coeffs
+            for s, got in zip(states, out):
+                dense = v @ (np.exp(1j * t * w) * (v.conj().T @ s.coeffs.ravel()))
+                assert np.linalg.norm(got.ravel() - dense) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["a", "f", "g"])
