@@ -22,6 +22,8 @@ import argparse
 import inspect
 import json
 import math
+import os
+import platform
 import sys
 import time
 import warnings
@@ -488,6 +490,20 @@ def validate_scenario(scenario: dict) -> dict:
     return _parse_scenario(scenario)[0]
 
 
+def _environment() -> dict:
+    """What the numbers depend on besides the scenario: interpreter, NumPy and
+    its BLAS, the BLAS thread settings and the CPU count, all fixed on one machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {var: os.environ.get(var) for var in
+                         ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run(scenario: dict) -> dict:
     """Execute a scenario and return the Report dict."""
     sc, inputs, tol = _parse_scenario(scenario)
@@ -500,6 +516,7 @@ def run(scenario: dict) -> dict:
         "metadata": {
             "version": __version__,
             "wall_time_s": time.perf_counter() - start,
+            "env": _environment(),
         },
     }
     if rows:

@@ -14,7 +14,8 @@ component of the generator's nonzero pattern (unitary to machine precision),
 in real arithmetic where a sector is real, with one stored eigenvector array
 per group of sectors.  Phase/shift displacements are the continuum matrix
 elements in closed form by default, or on a `pad=0` context the exponentials
-of the truncated generators.
+of the truncated generators: diag(i^-n) Vy (E_d F E_y) Vy^T from the real
+eigenvectors Vy of y and F = Vy^T diag(i^n) Vy, built by two real GEMMs.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
 
 class BasisContext:
     """Per-axis ladder matrices, parity, displacements (`pad=None`: continuum
-    elements; `pad=0`: exponentials of the truncated generators, exactly
-    unitary on the N x N block) and a cache of per-sector eigendecompositions."""
+    elements; `pad=0`: exponentials of the truncated generators, exactly unitary
+    on the N x N block, from y = Vy diag(w) Vy^T and F = Vy^T diag(i^n) Vy, both
+    built once) and a cache of per-sector eigendecompositions."""
 
     def __init__(self, n: int, lam: float, dims: int, pad: int | None = None):
         if n < 4:
@@ -115,11 +117,10 @@ class BasisContext:
         self.parity1d = (-1.0) ** np.arange(n)
         if pad == 0:
             # the Hermite functions are eigenfunctions of the Fourier transform, so
-            # i d = lam^2 F^H y F with F = diag(i^n), and y's factors give d's
+            # i d = lam^2 T^H y T with T = diag(i^n), and y's factors give d's
             self._wy, self._vy = np.linalg.eigh(self.y1d)
-            self._vyh = self._vy.conj().T  # built once, not per call
-            turn = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
-            self._wd, self._vd, self._vdh = lam**2 * self._wy, turn.conj()[:, None] * self._vy, self._vyh * turn
+            self._turn = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+            self._f = (self._vy.T * self._turn) @ self._vy  # F = Vy^T T Vy, symmetric
         self._exp_cache: dict = {}
 
     def parity_vector(self) -> np.ndarray:
@@ -131,12 +132,19 @@ class BasisContext:
     # -- 1D displacements -------------------------------------------------------
     def phase_shift_1d(self, phase: float, shift: float) -> np.ndarray:
         """Matrix of (translation by `shift`) o (multiplication e^{i phase y})
-        on the working block, with the semantics `pad` selects."""
+        on the working block, with the semantics `pad` selects.
+
+        On `pad=0` it is diag(i^-n) Vy diag(E_d) F diag(E_y) Vy^T, with
+        E_y = e^{i phase w} and E_d = e^{i shift lam^2 w}, from two real GEMMs:
+        k = (Vy g^T)^T with g = diag(E_d) F diag(E_y), then Vy k, each the real
+        Vy times the float view of a complex N x N array (N x 2N)."""
         if self.pad is None:
             return phase_shift_block(self.n, self.lam, phase, shift)
-        m_op = (self._vy * np.exp(1j * phase * self._wy)) @ self._vyh
-        t_op = (self._vd * np.exp(1j * shift * self._wd)) @ self._vdh
-        return t_op @ m_op
+        g_t = np.multiply.outer(np.exp(1j * phase * self._wy), np.exp(1j * shift * self.lam**2 * self._wy))
+        g_t *= self._f  # in place: one N x N temporary fewer per call
+        k = np.ascontiguousarray((self._vy @ g_t.view(float)).view(complex).T)
+        out = (self._vy @ k.view(float)).view(complex)
+        return np.multiply(out, self._turn.conj()[:, None], out=out)
 
 
 def ladder_build(n: int, lam: float, dims: int = 2, pad: int | None = None) -> BasisContext:

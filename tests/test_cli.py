@@ -1,9 +1,11 @@
 import json
 import math
+import platform
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from nhkit import cli, representations
@@ -110,6 +112,19 @@ def test_determinism_byte_identical_reports():
     assert a == b
     c = report_json(run({**scenario, "seed": 54321}), drop_timing=True)
     assert a != c
+
+
+def test_report_metadata_records_the_environment():
+    """Every report names the interpreter, NumPy, its BLAS, the BLAS thread settings
+    and the CPU count, and still serializes to JSON."""
+    report = run({"command": "algebra-check"})
+    env = report["metadata"]["env"]
+    assert set(env) == {"python", "numpy", "blas", "blas_threads", "cpu_count"}
+    assert set(env["blas"]) == {"name", "version"}
+    assert set(env["blas_threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"}
+    assert env["numpy"] == np.__version__ and env["python"] == platform.python_version()
+    assert json.loads(report_json(report))["metadata"]["env"] == env
+    assert json.loads(report_json(report, drop_timing=True))["metadata"]["env"] == env
 
 
 def test_default_labels_cover_all_cases():

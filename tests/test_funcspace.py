@@ -344,7 +344,7 @@ def test_stacked_state_applies_state_by_state(rng, dims):
         HermiteState(dims=dims, n=16, lam=1.2, coeffs=np.zeros((16,) * dims + (3,)))
 
 
-@pytest.mark.parametrize("n, lam", [(32, 1.1), (80, 0.8), (96, 1.0)])
+@pytest.mark.parametrize("n, lam", [(32, 1.1), (33, 1.3), (80, 0.8), (96, 1.0)])
 def test_truncated_shift_factors_match_eigh_of_the_gradient(n, lam):
     """On a pad=0 context the shift factors come from those of y through the
     Fourier transform; the eigendecomposition of i d itself is the reference."""
@@ -355,6 +355,15 @@ def test_truncated_shift_factors_match_eigh_of_the_gradient(n, lam):
         t_op = (v * np.exp(1j * shift * w)) @ v.conj().T
         m_op = (vy * np.exp(1j * phase * wy)) @ vy.T
         assert np.max(np.abs(ctx.phase_shift_1d(phase, shift) - t_op @ m_op)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, lam", [(32, 1.1), (33, 1.3), (96, 1.0)])
+def test_truncated_block_is_unitary(n, lam):
+    """pad=0 promises an exactly unitary N x N block, at any phase and shift."""
+    ctx = ladder_build(n, lam, dims=1, pad=0)
+    for phase, shift in ((0.0, 0.7), (0.4, -1.3), (-2.0, 2.5), (3.1, 0.0)):
+        block = ctx.phase_shift_1d(phase, shift)
+        assert np.linalg.norm(block.conj().T @ block - np.eye(n), 2) <= 1e-13
 
 
 def test_basis_validation():
