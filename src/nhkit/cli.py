@@ -49,6 +49,7 @@ from .moyal import (
     AxisQuadrature,
     covariance_residual,
     isotropy_commutator_residual,
+    kernel_axis_matrix,
     reconstruct_axis,
     smeared_pair_trace,
     tri_kernel,
@@ -88,9 +89,19 @@ def _is_tau(x) -> bool:
     return _is_real(x) and x > 0 and _squares_finite([x, 1.0 / x])
 
 
-def _cosh_finite(x: float) -> bool:  # math.cosh raises where the value overflows
-    try:
-        return math.cosh(x) < math.inf
+def _group_check_finite(tau: float) -> bool:
+    """Whether every number `group-check` forms at `tau` is finite.  It draws each coordinate, and
+    each action's time, from [-s, s], s = 2 (random_element's default scale).  On the expanding
+    variant let r = max(tau, 1/tau) and C = cosh(s/tau).  At a draw's time `_time_fns` gives
+    |c|, |s+|, |s-| <= rC and |kappa| <= r^2; at the time of a product of two draws, the largest
+    time `compose` evaluates, cosh(2s/tau) = 2C^2 - 1.  So one `compose` or `inverse` grows a's
+    and v's norms by at most a factor 3rC, and each term of its alpha and theta is at most
+    2 (rC)^3 times two coordinates.  In (g1 g2) g3, g1 (g2 g3) and g g^-1 every term is then below
+    24 r^4 C^4 s^2, and every coordinate and residual, a sum or difference of at most a dozen
+    terms, below (32 s r^2 C^2)^2."""
+    s = 2.0
+    try:  # math.cosh and float ** raise where the value overflows
+        return (32.0 * s * (max(tau, 1.0 / tau) * math.cosh(s / tau)) ** 2) ** 2 < math.inf
     except OverflowError:
         return False
 
@@ -111,7 +122,7 @@ def _count(low: int, high: int):
 # Ceilings on the inputs that size an array or a loop, each at or far above its default.  A value
 # over one is a scenario error, raised before anything of that size is built.
 BASIS_MAX = 96  # hermite_n: the case table's largest; a 2D generator matrix takes 16 N^4 bytes, 1.4 GB at 96
-NODES_MAX = 1024  # quadrature nodes: a grid row holds a (nodes, N, N) kernel batch, 150 MB at 1024 and N = 96
+NODES_MAX = 1024  # quadrature nodes: a grid row holds a (ceil(nodes/2), N, N) kernel batch, 75 MB at 1024 and N = 96
 GRID_MAX = 1024  # rep-check's grid: cases b, c loop over its nodes per application; case h holds grid^2 values
 # samples, rank_samples: a loop that keeps nothing per draw, so the ceiling bounds run time:
 # 10^5 pairs of rep-check case b take over an hour at about 50 ms each on a 2-core machine
@@ -139,10 +150,10 @@ _speeds = _rule(lambda x: _is_positives(x) and x[0] != x[-1] and _squares_finite
 # the algebra tables, the representations, the coadjoint invariants and the oscillator's energy hold
 # tau^2 and 1/tau^2
 _tau = _rule(_is_tau, "a positive number whose square and inverse square are positive and finite", float)
-# group-check draws b and t from [-2, 2] (random_element's scale), so the expanding variant's law
-# evaluates cosh(b/tau) at |b| up to 4, the time of a product of two draws
-_taus = _rule(lambda x: isinstance(x, list) and len(x) > 0 and all(_is_tau(t) and _cosh_finite(4.0 / t) for t in x),
-              "a nonempty list of numbers that each pass the tau rule and have cosh(4/tau) finite")
+# group-check draws from [-2, 2], random_element's scale, and the expanding law grows like cosh(2/tau)^4
+_taus = _rule(lambda x: isinstance(x, list) and len(x) > 0 and all(_is_tau(t) and _group_check_finite(t) for t in x),
+              "a nonempty list of numbers that each pass the tau rule and keep group-check's expanding law "
+              "finite, (64 max(tau, 1/tau)^2 cosh(2/tau)^2)^2 finite")
 _case = _rule(lambda x: str(x).lower() in CASES, "a case a..k", lambda x: str(x).lower())
 
 
@@ -373,6 +384,12 @@ def _run_moyal_check(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
         ctx = ladder_build(n_herm, basis_scale(labels), dims=2)
+        for key in ("box", "roundtrip_box"):  # a grid's largest |alpha| and |q p| are at its corner
+            with np.errstate(all="ignore"):
+                corner = kernel_axis_matrix(inputs[key], inputs[key], m, ctx)
+            _require(np.isfinite(corner).all(),
+                     f"{key} {inputs[key]} puts the kernel at the quadrature corner out of float range at "
+                     f"hermite_n {n_herm}")
         rep = InducedRep2D(labels, ctx)
         psi = probe_state(ctx, rng, kmax=3)
         cov = iso = 0.0

@@ -10,9 +10,15 @@ axis factor is a displaced parity with the continuum displacement elements
 (`funcspace.phase_shift_block`) whatever the context's `pad`, and
 `kernel_axis_matrix` builds any batch of them in one call: both axes of a
 kernel, every factor of a pair or triple trace, or one q-row of the grid.  Only
-`weyl_symbol_axis` and `reconstruct_axis` walk the quadrature grid, one
-q-row of kernels at a time; the smeared traces and the 2D symbol map and its
-inverse are built on them, so no more than one row of kernels is held.  The
+`weyl_symbol_axis` and `reconstruct_axis` walk the quadrature grid.  They build
+kernels only at the nodes q >= 0, p >= 0, one row of them at a time, and read
+the other three quadrants off the exact reflections of the kernel
+    K(-q, p) = conj K(q, p),  K(q, -p) = P conj K(q, p) P,  K(-q, -p) = P K(q, p) P,
+P = diag((-1)^n) the axis parity (Stratonovich, Sov. Phys. JETP 4 (1957) 891;
+Gracia-Bondia & Varilly, J. Phys. A 21 (1988) L879); the smeared traces and the
+2D symbol map and its inverse are built on them, so no more than one row of
+kernels is held.  At the origin the kernel is 4 times the parity operator, and
+the covariance and isotropy checks apply it as such.  The
 invariant measure is normalized as d mu = dq dp / (2 pi)^2 (one 2*pi per
 canonical pair); with that normalization the traciality delta, the inversion
 formula with unit constant and the tri-kernel twisted product are mutually
@@ -75,6 +81,11 @@ def kernel_matrix(q: Vec2, p: Vec2, m: float, ctx: BasisContext) -> np.ndarray:
     return np.kron(b1, b2)
 
 
+def _origin_apply(psi: HermiteState, ctx: BasisContext) -> HermiteState:
+    """Omega(0, 0) psi: at the origin the kernel is 4 times the parity operator, exactly."""
+    return replace(psi, coeffs=4.0 * ctx.parity_vector() * psi.coeffs)
+
+
 def group_element_for(q: Vec2, p: Vec2, m: float, tau: float = 1.0) -> GroupElement:
     """Group element moving the orbit origin to (q, p): a = q, v = -p/m."""
     if m == 0.0:
@@ -97,7 +108,9 @@ def covariance_residual(
 ) -> float:
     """|| Omega(q,p) psi - U(g) Omega(0,0) U(g^{-1}) psi || with U the f = 0
     representation; `mover` overrides the canonical g (it must still move the
-    origin to (q, p), e.g. the canonical element composed with isotropy)."""
+    origin to (q, p), e.g. the canonical element composed with isotropy).
+    The transported centre Omega(0,0) = 4 P is applied through the parity
+    vector; only Omega(q,p) is built."""
     from .group import inverse
 
     m = labels.m
@@ -106,8 +119,7 @@ def covariance_residual(
     g = group_element_for(q, p, m, labels.tau) if mover is None else mover
     direct = kernel_apply(q, p, m, psi, ctx)
     back = rep.apply(inverse(g), psi)
-    center = kernel_apply(Vec2.zero(), Vec2.zero(), m, back, ctx)
-    transported = rep.apply(g, center)
+    transported = rep.apply(g, _origin_apply(back, ctx))
     return float(np.linalg.norm(direct.coeffs - transported.coeffs))
 
 
@@ -119,12 +131,12 @@ def isotropy_commutator_residual(
     rep: InducedRep2D | None = None,
 ) -> float:
     """|| [Omega(0,0), U(gamma)] psi || for gamma in the isotropy group of the
-    origin (theta, b, phi only)."""
+    origin (theta, b, phi only), with Omega(0,0) = 4 P applied on both sides
+    through the parity vector."""
     if rep is None:
         rep = InducedRep2D(labels, ctx)
-    zero = Vec2.zero()
-    a = kernel_apply(zero, zero, labels.m, rep.apply(gamma, psi), ctx)
-    b = rep.apply(gamma, kernel_apply(zero, zero, labels.m, psi, ctx))
+    a = _origin_apply(rep.apply(gamma, psi), ctx)
+    b = rep.apply(gamma, _origin_apply(psi, ctx))
     return float(np.linalg.norm(a.coeffs - b.coeffs))
 
 
@@ -222,13 +234,21 @@ def smeared_tri_kernel(
 @dataclass(frozen=True)
 class AxisQuadrature:
     """Tensor Gauss-Legendre rule on [-box, box]^2 for one (q, p) pair,
-    carrying the Liouville weight dq dp / (2 pi)."""
+    carrying the Liouville weight dq dp / (2 pi).  Nodes and weights must be
+    mirror-symmetric bit for bit, x == -x[::-1] and w == w[::-1], since the
+    grid walks read the kernels at q < 0 or p < 0 off those at their mirrors;
+    `leggauss` symmetrizes its rule, so `build` meets this."""
 
     q: np.ndarray
     p: np.ndarray
     wq: np.ndarray
     wp: np.ndarray
     box: float
+
+    def __post_init__(self):
+        for name, x, sign in (("q", self.q, -1.0), ("p", self.p, -1.0), ("wq", self.wq, 1.0), ("wp", self.wp, 1.0)):
+            if not np.array_equal(x, sign * x[::-1]):
+                raise ValueError(f"quadrature {name} must be mirror-symmetric, {name} == {sign:+.0f} {name}[::-1]")
 
     @staticmethod
     def build(box: float, nodes: int) -> "AxisQuadrature":
@@ -258,26 +278,73 @@ def smeared_pair_trace(sigma: float, quad: AxisQuadrature, m: float, ctx: BasisC
 # symbols and inversion
 # --------------------------------------------------------------------------
 
+def _quadrants(quad: AxisQuadrature) -> tuple[np.ndarray, np.ndarray, list]:
+    """Indices of the nodes q >= 0 and p >= 0, where the walks build kernels, and the (row,
+    column) index grids of their four images (q, p), (-q, p), (q, -p) and (-q, -p)."""
+    iq, ip = (np.arange(x.size // 2, x.size) for x in (quad.q, quad.p))
+    mq, mp = quad.q.size - 1 - iq, quad.p.size - 1 - ip  # node i mirrors node size - 1 - i
+    return iq, ip, [np.ix_(rows, cols) for rows, cols in ((iq, ip), (mq, ip), (iq, mp), (mq, mp))]
+
+
+def _row_parts(qv: float, pv: np.ndarray, m: float, ctx: BasisContext, parts: np.ndarray) -> np.ndarray:
+    """Re K and Im K of the row of kernels K(qv, pv), written into `parts` [2, p, N^2] and
+    returned as its [2 p, N^2] view."""
+    kernels = kernel_axis_matrix(qv, pv, m, ctx).reshape(parts.shape[1:])
+    parts[0], parts[1] = kernels.real, kernels.imag
+    return parts.reshape(-1, parts.shape[-1])
+
+
 def weyl_symbol_axis(a_axis: np.ndarray, quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
     """Per-axis symbol fields Tr[A omega(u)] over the grid: operators
     (..., N, N) -> fields (..., nq, np).  With `reconstruct_axis` the only
-    walk over the kernel grid, one q-row of (np, N, N) kernels at a time."""
+    walk over the kernel grid: it builds the kernels K = K(q, p) at q >= 0,
+    p >= 0 only, one row of ceil(np/2) at a time.  One real product of the
+    row's Re K and Im K with the stack [A, S], S = P A P, gives
+    X_B = Tr[B Re K] and Y_B = Tr[B Im K], and so all four quadrants:
+    Tr[A K(q,p)] = X_A + i Y_A, Tr[A K(-q,p)] = X_A - i Y_A,
+    Tr[A K(q,-p)] = X_S - i Y_S and Tr[A K(-q,-p)] = X_S + i Y_S."""
     n, lead = ctx.n, a_axis.shape[:-2]
-    a_t = np.swapaxes(a_axis, -1, -2).reshape(-1, n * n)  # Tr[A K] = sum A^T[j, i] K[j, i]
-    out = np.empty((a_t.shape[0], quad.q.size, quad.p.size), complex)
-    for i, qv in enumerate(quad.q):
-        out[:, i] = a_t @ kernel_axis_matrix(qv, quad.p, m, ctx).reshape(quad.p.size, n * n).T
+    ops = np.empty((n, n, 2) + lead, complex)  # [j, i, A/S, operator...]: Tr[B K] = sum B[i, j] K[j, i]
+    ops[:, :, 0] = np.moveaxis(a_axis, (-1, -2), (0, 1))
+    np.multiply(ops[:, :, 0], np.outer(ctx.parity1d, ctx.parity1d).reshape((n, n) + (1,) * len(lead)),
+                out=ops[:, :, 1])
+    ops = ops.reshape(n * n, -1).view(float)  # each complex column as its real and imaginary parts
+    iq, ip, images = _quadrants(quad)
+    parts = np.empty((2, ip.size, n * n))
+    xy = np.empty((iq.size, 2, ip.size, 2, math.prod(lead)), complex)  # [q-row, X/Y, p, A/S, operator]
+    for r, i in enumerate(iq):
+        xy[r] = (_row_parts(quad.q[i], quad.p[ip], m, ctx, parts) @ ops).view(complex).reshape(xy.shape[1:])
+    (xa, xs), (ya, ys) = np.moveaxis(xy[:, 0], 2, 0), 1j * np.moveaxis(xy[:, 1], 2, 0)
+    out = np.empty((xy.shape[-1], quad.q.size, quad.p.size), complex)
+    for quadrant, (rows, cols) in zip((xa + ya, xa - ya, xs - ys, xs + ys), images):
+        out[:, rows, cols] = np.moveaxis(quadrant, -1, 0)
     return out.reshape(lead + out.shape[1:])
 
 
 def reconstruct_axis(w_field: np.ndarray, quad: AxisQuadrature, m: float, ctx: BasisContext) -> np.ndarray:
     """Per-axis inverse map integral W(u) omega(u) d mu_axis(u): fields
-    (..., nq, np) -> operators (..., N, N), one q-row of kernels at a time."""
+    (..., nq, np) -> operators (..., N, N).  The adjoint walk of
+    `weyl_symbol_axis`: with w1..w4 the weighted field at (q, p), (-q, p),
+    (q, -p) and (-q, -p), the four images of K = K(q, p), q >= 0, p >= 0, sum
+    to (w1 + w2) Re K + i (w1 - w2) Im K + P [(w4 + w3) Re K + i (w4 - w3) Im K] P,
+    one real product per row of kernels.  On an odd rule the node 0 is its
+    own mirror and enters twice, so each image carries half of it."""
     n, lead = ctx.n, w_field.shape[:-2]
-    weighted = (w_field * quad.weights_2d()).reshape((-1,) + w_field.shape[-2:])
-    out = np.zeros((weighted.shape[0], n * n), complex)
-    for i, qv in enumerate(quad.q):
-        out += weighted[:, i] @ kernel_axis_matrix(qv, quad.p, m, ctx).reshape(quad.p.size, n * n)
+    weights = quad.weights_2d()
+    if quad.q.size % 2:
+        weights[quad.q.size // 2] /= 2.0
+    if quad.p.size % 2:
+        weights[:, quad.p.size // 2] /= 2.0
+    weighted = (w_field * weights).reshape((-1,) + w_field.shape[-2:])
+    iq, ip, images = _quadrants(quad)
+    w1, w2, w3, w4 = (np.moveaxis(weighted[:, rows, cols], 0, -1) for rows, cols in images)  # [q-row, p, field]
+    coef = np.stack([np.stack([w1 + w2, w4 + w3], -2), 1j * np.stack([w1 - w2, w4 - w3], -2)], 1)
+    parts = np.empty((2, ip.size, n * n))
+    acc = np.zeros((n * n, 4 * weighted.shape[0]))  # [i j, (A/S, field)], each complex column as two real
+    for r, i in enumerate(iq):  # coef[r]: [Re K/Im K, p, A/S, field]
+        acc += _row_parts(quad.q[i], quad.p[ip], m, ctx, parts).T @ coef[r].reshape(2 * ip.size, -1).view(float)
+    sums = acc.view(complex).reshape(n, n, 2, -1)
+    out = np.moveaxis(sums[:, :, 0] + np.outer(ctx.parity1d, ctx.parity1d)[..., None] * sums[:, :, 1], -1, 0)
     return out.reshape(lead + (n, n))
 
 

@@ -3,10 +3,14 @@ import math
 import platform
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhkit import cli, representations
 from nhkit.representations import CASES
@@ -403,12 +407,54 @@ BASE = {"h": 0.3, "p": [1.0, 0.0], "k": [0.0, 0.5], "j": 0.2}  # an orbit-atlas 
     ("classify", {"point": {"f": 0.5, "m": 1.0, **BASE, "tau": 1e200}}),
     ("orbit-atlas", {"base": {**BASE, "tau": 1e-200}}),
     ("orbit-atlas", {"base": {**BASE, "tau": 1e200}}),
+    # cosh(4/tau) is finite at 0.0056301, but the products compose forms overflowed, and
+    # associativity_max read NaN
+    ("group-check", {"taus": [0.0056301], "samples": 1}),
 ])
 def test_taus_and_dual_point_taus_the_law_cannot_evaluate_exit_2(tmp_path, command, inputs):
     """Each exited 3 before its rule: a math range error, a float division by zero or a result out of range."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"inputs": inputs}))
     assert _main(command, "--scenario", str(scenario)) == 2
+
+
+# the edges of the float range, a JSON integer too large for a float, other JSON types, and a few
+# values every rule accepts, so that some examples run the whole check
+EDGE_VALUES = [0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+               10**400, "1", None, [1.0], True, 0.5, 1.0, 3.0]
+
+
+@given(
+    counts=st.fixed_dictionaries({
+        "nodes": st.integers(1, 9), "roundtrip_nodes": st.integers(1, 9), "hermite_n": st.integers(0, 8),
+    }),
+    # one or two inputs at an edge value, the others at their default
+    reals=st.dictionaries(st.sampled_from(["box", "roundtrip_box", "m", "tau"]), st.sampled_from(EDGE_VALUES),
+                          min_size=1, max_size=2),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)  # about 1.5 s of tier-1
+def test_moyal_check_inputs_never_exit_3(counts, reals):
+    """Any such scenario is rejected (2) or runs to a report (0 or 1), never an internal error
+    (3).  Every budget is 1e300, so a metric that is NaN or infinite is the only way to exit 1:
+    the test asks for 0 or 2, which also keeps NaN out of every exit-0 report.  NumPy's overflow
+    warnings are errors here (pyproject.toml), so an input whose arithmetic overflows reads as 3."""
+    budgets = dict.fromkeys(cli.SPECS["moyal-check"][2], 1e300)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp, "scenario.json"), Path(tmp, "report.json")
+        scenario.write_text(json.dumps({"inputs": {"samples": 1, **counts, **reals}, "tolerances": budgets}))
+        assert _main("moyal-check", "--scenario", str(scenario), "--out", str(out)) in (0, 2)
+
+
+def test_group_check_finite_at_the_smallest_accepted_tau():
+    """At the smallest tau the rule accepts, every residual is finite (the check may still fail)."""
+    low, high = 1e-3, 0.5  # rejected, accepted
+    while math.nextafter(low, high) < high:
+        mid = (low + high) / 2.0
+        low, high = (low, mid) if cli._group_check_finite(mid) else (mid, high)
+    assert cli._group_check_finite(high) and not cli._group_check_finite(low)
+    report = run({"command": "group-check", "seed": 3, "inputs": {"taus": [high], "samples": 300}})
+    assert all(math.isfinite(value) for value in report["metrics"].values())
+    assert all(cli._group_check_finite(tau) for tau in cli.SPECS["group-check"][1]["taus"][1])
 
 
 def test_rep_check_nan_residuals_fail(tmp_path, capsys):

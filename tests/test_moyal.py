@@ -101,6 +101,21 @@ def test_kernel_axis_matrix_at_box_corners_matches_quadrature(ctx):
         assert np.max(np.abs(kernel_axis_matrix(q, p, M, ctx) - oracle)) <= 1e-12
 
 
+def test_kernel_reflections_and_origin(ctx, rng):
+    """The exact symmetries the grid walks read three quadrants off: K(-q, p) = conj K(q, p)
+    bit for bit, K(q, -p) = P conj K(q, p) P and K(-q, -p) = P K(q, p) P to rounding (the
+    entries are at most 2), with P the axis parity; and K(0, 0) = 2 P."""
+    par = np.outer(ctx.parity1d, ctx.parity1d)  # P X P = par * X
+    for q, p in rng.uniform(-5, 5, (20, 2)):
+        k = kernel_axis_matrix(q, p, M, ctx)
+        assert np.array_equal(kernel_axis_matrix(-q, p, M, ctx), k.conj())
+        assert np.max(np.abs(kernel_axis_matrix(q, -p, M, ctx) - par * k.conj())) <= 1e-14
+        assert np.max(np.abs(kernel_axis_matrix(-q, -p, M, ctx) - par * k)) <= 1e-14
+    probe = rng.normal(size=ctx.n) + 1j * rng.normal(size=ctx.n)
+    origin = kernel_axis_matrix(0.0, 0.0, M, ctx) @ probe
+    assert np.linalg.norm(origin - 2.0 * ctx.parity1d * probe) <= 1e-14 * np.linalg.norm(probe)
+
+
 def _axis_factor(u, ax, ctx):
     """Scalar `kernel_axis_matrix` call for axis `ax` of the point u = (q, p)."""
     pick = (lambda v: v.x1) if ax == 0 else (lambda v: v.x2)
@@ -300,6 +315,53 @@ def test_stacked_axis_maps_equal_per_operator_calls(ctx, rng):
         assert np.linalg.norm(fields[k] - one) <= 1e-13 * np.linalg.norm(one)
         back = reconstruct_axis(one, quad, M, ctx)
         assert np.linalg.norm(backs[k] - back) <= 1e-13 * np.linalg.norm(back)
+
+
+def _row_walk_symbol(a_axis, quad, m, ctx):
+    """Reference for `weyl_symbol_axis`: every node's kernel built, one q-row at a time."""
+    n, lead = ctx.n, a_axis.shape[:-2]
+    a_t = np.swapaxes(a_axis, -1, -2).reshape(-1, n * n)
+    out = np.empty((a_t.shape[0], quad.q.size, quad.p.size), complex)
+    for i, qv in enumerate(quad.q):
+        out[:, i] = a_t @ kernel_axis_matrix(qv, quad.p, m, ctx).reshape(quad.p.size, n * n).T
+    return out.reshape(lead + out.shape[1:])
+
+
+def _row_walk_reconstruct(w_field, quad, m, ctx):
+    """Reference for `reconstruct_axis`: every node's kernel built, one q-row at a time."""
+    n, lead = ctx.n, w_field.shape[:-2]
+    weighted = (w_field * quad.weights_2d()).reshape((-1,) + w_field.shape[-2:])
+    out = np.zeros((weighted.shape[0], n * n), complex)
+    for i, qv in enumerate(quad.q):
+        out += weighted[:, i] @ kernel_axis_matrix(qv, quad.p, m, ctx).reshape(quad.p.size, n * n)
+    return out.reshape(lead + (n, n))
+
+
+@pytest.mark.parametrize("nodes", [1, 7, 48, 95, 96])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_quadrant_walk_matches_row_walk(nodes, stack, rng):
+    """The quadrant walks against the full row walk, on dense random operators and fields; odd
+    node counts have a q = 0 row and a p = 0 column that are their own mirrors."""
+    ctx1 = ladder_build(32, 1.0, dims=1)
+    quad = AxisQuadrature.build(4.0, nodes)
+    ops = rng.normal(size=stack + (ctx1.n, ctx1.n)) + 1j * rng.normal(size=stack + (ctx1.n, ctx1.n))
+    fields = rng.normal(size=stack + (nodes, nodes)) + 1j * rng.normal(size=stack + (nodes, nodes))
+    for walk, ref, arg in (
+        (weyl_symbol_axis, _row_walk_symbol, ops), (reconstruct_axis, _row_walk_reconstruct, fields),
+    ):
+        got, want = walk(arg, quad, 1.3, ctx1), ref(arg, quad, 1.3, ctx1)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_quadrature_must_be_mirror_symmetric():
+    good = AxisQuadrature.build(3.0, 7)
+    assert np.array_equal(good.q, -good.q[::-1]) and np.array_equal(good.wq, good.wq[::-1])
+    x, w = np.array([-1.0, 0.1, 1.0]), np.array([0.5, 1.0, 0.5])
+    with pytest.raises(ValueError, match="quadrature q must be mirror-symmetric"):
+        AxisQuadrature(q=x, p=good.p[::3], wq=w, wp=w, box=1.0)
+    with pytest.raises(ValueError, match="quadrature wp must be mirror-symmetric"):
+        AxisQuadrature(q=good.q, p=good.p, wq=good.wq, wp=good.wp * np.arange(1.0, 8.0), box=3.0)
 
 
 def _traced_peak(fn) -> int:
