@@ -11,8 +11,12 @@ derivative operators have exact sparse matrix elements and act axis by axis
 products of the same per-axis matrices.  Exponentials of quadratic Hermitian
 generators are evaluated by eigendecomposition per exact sector, a connected
 component of the generator's nonzero pattern (unitary to machine precision),
-in real arithmetic where a sector is real, with one stored eigenvector array
-per group of sectors.  Phase/shift displacements are the continuum matrix
+with one stored eigenvector array per group of sectors.  A sector is solved in
+real arithmetic where its block is real, and on a 2D context also where it is
+complex but invariant under the antiunitary Θ = (y1 <-> y2, p1 <-> p2) o
+(complex conjugation), as H and J of cases A, F and G are: a fixed sparse
+basis makes such a block real symmetric.  Any other complex sector falls back
+to the complex solver.  Phase/shift displacements are the continuum matrix
 elements in closed form by default, or on a `pad=0` context the exponentials
 of the truncated generators: diag(i^-n) Vy (E_d F E_y) Vy^T from the real
 eigenvectors Vy of y and F = Vy^T diag(i^n) Vy, built by two real GEMMs.
@@ -21,6 +25,7 @@ eigenvectors Vy of y and F = Vy^T diag(i^n) Vy, built by two real GEMMs.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -48,14 +53,16 @@ def _ladder_matrices(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _displacement_tables(n: int) -> tuple[np.ndarray, ...]:
-    """What `phase_shift_block` needs of n alone, read-only: modes d, coefficients a, b, c
-    [k, d], signs (-1)^d, and per element (row, col) the gather indices min(row, col) and
-    |row - col| into g[k, d] and (row >= col) n + |row - col| into the two phase rows."""
+    """What `phase_shift_block` needs of n alone, read-only: modes d, the rows d/2 and
+    log(d!)/2, coefficients a, b, c [k, d], signs (-1)^d, and per element (row, col) the
+    gather indices min(row, col) and |row - col| into g[k, d] and (row >= col) n + |row - col|
+    into the two phase rows."""
     d, kk = np.arange(n), np.arange(n - 1)[:, None]
     # g_{k+1} = ((2k+1+d-x) g_k - sqrt(k(k+d)) g_{k-1}) / sqrt((k+1)(k+1+d))
     r = np.sqrt((kk + 1.0) * (kk + 1 + d))
     diff = np.subtract.outer(d, d)  # row - col
-    tables = (d, (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r, (-1.0) ** d,
+    tables = (d, d / 2.0, 0.5 * np.array([math.lgamma(k + 1.0) for k in d]),
+              (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r, (-1.0) ** d,
               np.minimum.outer(d, d), abs(diff), (diff >= 0) * n + abs(diff))
     for t in tables:
         t.setflags(write=False)
@@ -71,17 +78,24 @@ def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
     by the stable three-term recurrence in k (the column recurrence in D|k> is unstable).
 
     The coefficients, sign row and gather indices depend on n alone and are
-    built once per n.  The recurrence runs k-major: g[k] is one contiguous row
-    over (batch..., d), and s[k] = a[k] - b[k] x is formed for every k up front,
-    so each step is g[k+1] = s[k] g[k] - c[k] g[k-1]."""
-    d, a, b, c, sign, lo, dist, pick = _displacement_tables(n)
+    built once per n.  The recurrence starts from g_0^(d) = x^(d/2) e^(-x/2) / sqrt(d!),
+    formed in log space, exp(-x/2 + (d/2) log x - log(d!)/2), so it underflows to 0
+    where a product of its factors would overflow; alpha = 0 gives the row (1, 0, 0, ...).
+    The recurrence runs k-major: g[k] is one contiguous row over (batch..., d), and
+    s[k] = a[k] - b[k] x is formed for every k up front, so each step is
+    g[k+1] = s[k] g[k] - c[k] g[k-1]."""
+    d, half_d, half_log_fact, a, b, c, sign, lo, dist, pick = _displacement_tables(n)
     phase, shift = np.broadcast_arrays(np.asarray(phase, float), np.asarray(shift, float))
     alpha = (lam * shift + 1j * phase / lam) / np.sqrt(2.0)
     x = np.abs(alpha)[..., None] ** 2
     lead = (slice(None),) + (None,) * alpha.ndim  # a[k] broadcast over the batch
     s = a[lead] - b[lead] * x
     g = np.empty((n,) + alpha.shape + (n,))  # g[k, ..., d]
-    g[0] = np.exp(-x / 2.0) * np.cumprod(np.concatenate([np.ones_like(x), np.sqrt(x / d[1:])], -1), -1)
+    log_x = np.log(x, out=np.full_like(x, -np.inf), where=x > 0.0)  # no log at x = 0
+    g[0, ..., 0] = 0.0  # the d = 0 exponent holds no log x
+    np.multiply(half_d[1:], log_x, out=g[0, ..., 1:])
+    g[0] -= x / 2.0 + half_log_fact
+    np.exp(g[0], out=g[0])
     rows = list(g)  # one view per row, shared by the three streams below
     np.multiply(s[0], rows[0], out=rows[1])
     for s_k, c_k, prev, cur, nxt in zip(s[1:], c[1:], rows, rows[1:], rows[2:]):
@@ -374,26 +388,120 @@ def _sectors(mat: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
+THETA_TOL = 64 * np.finfo(float).eps  # the rounding level of a Θ defect, relative to max |M|
+
+
+def _swap_layouts(idx: np.ndarray, n: int):
+    """How the axis swap (a, b) -> (b, a) permutes the positions of each sector
+    of a group (k, s) of 2D indices: one (rows, p, q, f) per distinct count of
+    fixed positions, with the group's sectors `rows` that have it, their paired
+    positions p < q = swap(p) and their fixed positions f, each (len(rows), m).
+    None where the swap takes a sector off itself."""
+    k, s = idx.shape
+    slot = np.full(n * n, -1)
+    slot[idx] = np.arange(k * s).reshape(k, s)
+    slot = slot[(idx % n) * n + idx // n]  # flat slot of each swapped index, -1 off the group
+    if np.any(slot // s != np.arange(k)[:, None]):
+        return None
+    image, pos = slot % s, np.arange(s)
+    nfix = np.count_nonzero(image == pos, axis=1)
+    layouts = []
+    for nf in np.unique(nfix):
+        rows = np.flatnonzero(nfix == nf)
+        p = np.nonzero(pos < image[rows])[1].reshape(len(rows), -1)
+        f = np.nonzero(pos == image[rows])[1].reshape(len(rows), -1)
+        layouts.append((rows, p, np.take_along_axis(image[rows], p, 1), f))
+    return layouts
+
+
+def _theta_form(mat: np.ndarray, idx: np.ndarray, n: int, tol: float):
+    """The real form R = Re(W^H B W) of a group of complex 2D sector blocks B that
+    Θ = (axis swap) o (complex conjugation) leaves invariant, S conj(B) S = B, in
+    the columns (e_p + e_q)/sqrt 2, i (e_p - e_q)/sqrt 2 per swapped pair p <-> q and
+    e_f per fixed position; with the layouts of `_swap_layouts`.  R is read off the
+    sub-blocks B_PP, B_PQ, B_PF, B_FP and B_FF, by B_QQ = conj B_PP, B_QP = conj B_PQ
+    and the like; it is symmetric exactly when B is Hermitian.  None where the
+    swap takes a sector off itself or the defect max |S conj(B) S - B| exceeds tol."""
+    layouts = _swap_layouts(idx, n)
+    if layouts is None:
+        return None
+    real = np.empty((len(idx),) + idx.shape[1:] * 2)
+    root2 = np.sqrt(2.0)
+
+    def sub(a, b):
+        return mat[a[:, :, None], b[:, None, :]]
+
+    for rows, p, q, f in layouts:
+        gp, gq, gf = (np.take_along_axis(idx[rows], pos, 1) for pos in (p, q, f))
+        pp, pq, pf, fp, ff = sub(gp, gp), sub(gp, gq), sub(gp, gf), sub(gf, gp), sub(gf, gf)
+        defect = max(np.max(np.abs(a.conj() - b), initial=0.0) for a, b in (
+            (sub(gq, gq), pp), (sub(gq, gp), pq), (sub(gq, gf), pf), (sub(gf, gq), fp), (ff, ff)))
+        if defect > tol:
+            return None
+        m = p.shape[1]
+        u, v, w = slice(None, m), slice(m, 2 * m), slice(2 * m, None)
+        for r, c, part in (
+            (u, u, pp.real + pq.real), (u, v, pq.imag - pp.imag), (u, w, root2 * pf.real),
+            (v, u, pp.imag + pq.imag), (v, v, pp.real - pq.real), (v, w, root2 * pf.imag),
+            (w, u, root2 * fp.real), (w, v, -root2 * fp.imag), (w, w, ff.real),
+        ):
+            real[rows, r, c] = part
+    return real, layouts
+
+
+def _theta_vectors(vr: np.ndarray, layouts) -> np.ndarray:
+    """V = W V_r for the real eigenvectors V_r of `_theta_form`'s R, formed pairwise:
+    row p of V is (u + i v)/sqrt 2 from V_r's rows u, v of the pair, row q its
+    conjugate, and row f V_r's row f."""
+    out = np.empty(vr.shape, dtype=complex)
+    for rows, p, q, f in layouts:
+        m, at = p.shape[1], rows[:, None]
+        pair = np.empty((len(rows), m, vr.shape[-1]), dtype=complex)
+        pair.real, pair.imag = vr[rows, :m], vr[rows, m : 2 * m]
+        pair *= np.sqrt(0.5)
+        out[at, p] = pair
+        out[at, q] = pair.conj()
+        out[at, f] = vr[rows, 2 * m :]
+    return out
+
+
 def _exp_factors(q: QuadraticOperator, ctx: BasisContext):
-    """Per group of equal-size sectors of the assembled generator: indices,
-    eigenvalues and eigenvectors V, one array, solved in real arithmetic where
-    the group's blocks are exactly real.  Entries outside the sectors are
-    exactly 0, so the blocks' eigendecompositions are the matrix's."""
+    """Per group of equal-size sectors of the assembled generator M: indices,
+    eigenvalues and eigenvectors V, one array.  Entries outside the sectors are
+    exactly 0, so the blocks' eigendecompositions are the matrix's.
+
+    A group whose blocks are exactly real takes the real solver.  On a 2D
+    context a complex group whose every sector the axis swap maps onto itself,
+    and whose blocks the antiunitary Θ = (y1 <-> y2, p1 <-> p2) o (complex
+    conjugation) leaves invariant to within `THETA_TOL` max |M|, is solved in
+    real arithmetic too, through `_theta_form`: Θ^2 = 1, so Θ-invariant blocks
+    are real symmetric in a fixed sparse basis W (Wigner; Dyson, J. Math. Phys.
+    3 (1962) 1199).  H and J of cases A, F and G are Θ-invariant at every label
+    set: Θ swaps P1 and P2 and maps K1 to -K2.  Any other complex group takes
+    the complex solver."""
     key = q.cache_key()
     if key not in ctx._exp_cache:
         mat = op_matrix(q, ctx)
-        tol = 1e-10 * max(1.0, np.max(np.abs(mat)))
+        scale = np.max(np.abs(mat))
+        tol = 1e-10 * max(1.0, scale)
+        complex_rows = mat.imag.any(axis=1)  # a sector holds every nonzero entry of its rows
         factors = []
         for idx in _sectors(mat):
-            block = mat[idx[:, :, None], idx[:, None, :]]
-            if not block.imag.any():  # an exactly real block takes the real solver
-                block = block.real
+            form = None
+            if ctx.dims == 2 and complex_rows[idx].any():
+                form = _theta_form(mat, idx, ctx.n, THETA_TOL * scale)
+            if form is None:
+                block = mat[idx[:, :, None], idx[:, None, :]]
+                if not block.imag.any():  # an exactly real block takes the real solver
+                    block = block.real
+            else:
+                block = form[0]
             herm_defect = np.max(np.abs(block - block.conj().swapaxes(-1, -2)))
             if herm_defect > tol:
                 raise ValueError(f"assembled generator not Hermitian (defect {herm_defect:.2e})")
             w, v = np.linalg.eigh(block)
             # stored complex: matmul would cast a real V to complex on every apply
-            factors.append((idx, w, v.astype(complex, copy=False)))
+            factors.append((idx, w, v.astype(complex, copy=False) if form is None else _theta_vectors(v, form[1])))
         ctx._exp_cache[key] = factors
     return ctx._exp_cache[key]
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhkit import cli, representations
+from nhkit.group import Vec2
 from nhkit.representations import CASES
 from nhkit.cli import (
     ScenarioError,
@@ -443,6 +444,54 @@ def test_moyal_check_inputs_never_exit_3(counts, reals):
         scenario, out = Path(tmp, "scenario.json"), Path(tmp, "report.json")
         scenario.write_text(json.dumps({"inputs": {"samples": 1, **counts, **reals}, "tolerances": budgets}))
         assert _main("moyal-check", "--scenario", str(scenario), "--out", str(out)) in (0, 2)
+
+
+def _labels_json(case: str) -> dict:
+    """A case's canonical labels as the JSON `labels` input: `kappa` for kappa_vec, 2-lists for vectors."""
+    return {("kappa" if key == "kappa_vec" else key): ([value.x1, value.x2] if isinstance(value, Vec2) else value)
+            for key, value in CASES[case].labels.items()}
+
+
+@st.composite
+def rep_check_inputs(draw):
+    """A small rep-check scenario of any case, with tau, scale or labels at an edge value: a label
+    replaced outright, or a vector label's first component."""
+    case = draw(st.sampled_from(sorted(CASES)))
+    inputs = {"case": case, "hermite_n": draw(st.integers(4, 8)), "probe_kmax": draw(st.integers(0, 3)),
+              "samples": draw(st.integers(1, 3))}
+    inputs |= draw(st.dictionaries(st.sampled_from(["tau", "scale"]), st.sampled_from(EDGE_VALUES), max_size=2))
+    if draw(st.booleans()):
+        labels = _labels_json(case)
+        for key, value in draw(st.dictionaries(st.sampled_from(sorted(labels)), st.sampled_from(EDGE_VALUES),
+                                               min_size=1, max_size=2)).items():
+            labels[key] = [value, labels[key][1]] if isinstance(labels[key], list) and draw(st.booleans()) else value
+        inputs["labels"] = labels
+    return inputs
+
+
+def _numbers(tree):
+    """Every number in a report's metrics, nested dicts included."""
+    if isinstance(tree, dict):
+        return [x for value in tree.values() for x in _numbers(value)]
+    return [tree] if isinstance(tree, float) else []
+
+
+@given(inputs=rep_check_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)  # about 3 s of tier-1
+def test_rep_check_inputs_never_exit_3(inputs):
+    """Any such scenario is rejected (2) or runs to a report (0 or 1), never an internal error (3),
+    and a report that passes (0) holds no NaN or infinite metric.  A scale of 1e300 is accepted
+    and reports NaN residuals, which fail (test_rep_check_nan_residuals_fail), so NumPy's overflow
+    warnings on the way there are ignored here.  Labels of A, F and G off their canonical points
+    also run the real form of their generators."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        scenario, out = Path(tmp, "scenario.json"), Path(tmp, "report.json")
+        scenario.write_text(json.dumps({"inputs": inputs}))
+        code = _main("rep-check", "--scenario", str(scenario), "--out", str(out))
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert all(math.isfinite(x) for x in _numbers(json.loads(out.read_text())["metrics"]))
 
 
 def test_group_check_finite_at_the_smallest_accepted_tau():

@@ -10,7 +10,11 @@ from nhkit.funcspace import (
     HermiteState,
     QuadraticOperator,
     ResolutionWarning,
+    THETA_TOL,
+    _displacement_tables,
     _sectors,
+    _swap_layouts,
+    _theta_form,
     displacement_apply,
     exp_apply,
     ground_state,
@@ -23,7 +27,7 @@ from nhkit.funcspace import (
     probe_state,
     product,
 )
-from nhkit.representations import CASES, case_setup
+from nhkit.representations import CASES, case_setup, labels_case_a, labels_case_f, labels_case_g
 from conftest import hermite_fn
 
 
@@ -276,6 +280,46 @@ def test_displacement_block_low_columns_have_unit_norm():
         assert np.max(np.abs(cols - 1.0)) <= 1e-12
 
 
+def cumprod_phase_shift_block(n, lam, phase, shift):
+    """The block with g_0^(d) = e^(-x/2) cumprod(sqrt(x/d)), as it was formed before the log
+    space form: same recurrence, same phases."""
+    d, _, _, a, b, c, sign, lo, dist, pick = _displacement_tables(n)
+    alpha = (lam * shift + 1j * phase / lam) / math.sqrt(2.0)
+    x = abs(alpha) ** 2
+    g = np.empty((n, n))
+    g[0] = math.exp(-x / 2.0) * np.cumprod(np.concatenate([[1.0], np.sqrt(x / d[1:])]))
+    g[1] = (a[0] - b[0] * x) * g[0]
+    for k in range(1, n - 1):
+        g[k + 1] = (a[k] - b[k] * x) * g[k] - c[k] * g[k - 1]
+    turn = np.exp(1j * np.angle(alpha) * d)
+    phases = np.concatenate([sign * turn.conj(), turn]) * np.exp(-0.5j * shift * phase)
+    return phases[pick] * g[lo, dist]
+
+
+@pytest.mark.parametrize("n", [4, 32, 48, 96])
+def test_log_space_ground_row_matches_cumprod_form(n):
+    """Forming g_0 in log space moves each block by rounding only, out to |phase|, |shift| = 20."""
+    rng = np.random.default_rng(5)
+    for lam in (0.7, 1.0, 1.3):
+        draws = np.concatenate([[[20.0, 20.0], [-20.0, 20.0], [0.0, 0.0], [20.0, 0.0]],
+                                rng.uniform(-20.0, 20.0, (20, 2))])
+        for phase, shift in draws:
+            ref = cumprod_phase_shift_block(n, lam, phase, shift)
+            got = phase_shift_block(n, lam, phase, shift)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_displacement_block_finite_far_out_and_exact_at_zero():
+    """At |alpha|^2 = 5e9 the cumprod form multiplied e^(-x/2) = 0 by an overflowed product,
+    inf, and returned NaN; the log space form underflows to 0.  At alpha = 0 every g_0 term
+    with d > 0 is exp(-inf) = 0, with no log of 0 (a RuntimeWarning is an error here)."""
+    far = phase_shift_block(96, 1.0, 0.0, 1e5)
+    assert np.isfinite(far).all()
+    zero = phase_shift_block(96, 1.0, 0.0, 0.0)
+    assert np.array_equal(zero[:, 0], np.eye(96)[0])  # the column of g_0
+    assert np.max(np.abs(zero - np.eye(96))) <= 1e-13
+
+
 def test_truncation_convergence_for_resolved_state(rng):
     q = quadratic(2, yy=[[1.0, 0.1], [0.1, 1.0]], pp=[[1.0, -0.05], [-0.05, 1.0]], yp=np.diag([-0.05, 0.05]))
     results = {}
@@ -480,3 +524,60 @@ def test_unstructured_generator_is_one_sector_and_matches_dense_path(rng):
     w, v = np.linalg.eigh(mat)
     dense = v @ (np.exp(1j * 0.8 * w) * (v.conj().T @ psi.coeffs))
     assert np.array_equal(exp_apply(q, 0.8, psi, ctx).coeffs, dense)
+
+
+def random_labels_2d(rng):
+    """Labels of A, F and G off their canonical points: f and m away from 0 and from f = +-m tau."""
+    tau = rng.uniform(0.5, 2.0)
+    f, m = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.3, 3.0, 2)
+    m = m if abs(abs(f) - abs(m) * tau) > 0.1 else m + 0.5 * np.sign(m)
+    c1, c2 = rng.uniform(-1.5, 1.5, 2)
+    return {"a": labels_case_a(f, m, c1, c2, tau), "f": labels_case_f(m, c1, c2, tau),
+            "g": labels_case_g(f, c1, c2, tau)}
+
+
+def test_theta_invariant_generators_reach_only_the_real_solver(monkeypatch, rng):
+    """H and J of A, F and G are invariant under Theta = (axis swap) o (complex conjugation), so
+    every complex group of theirs is factored in real arithmetic: at the canonical labels and at
+    12 random label draws, eigh sees no complex block, and the factors match the dense eigh."""
+    blocks = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: blocks.append(a.dtype) or real_eigh(a, *args, **kw))
+    draws = [{case: CASES[case].factory(**CASES[case].labels) for case in "afg"}]
+    draws += [random_labels_2d(rng) for _ in range(12)]
+    for labels in draws:
+        for case, lab in labels.items():
+            ctx, rep, psi = case_setup(case, lab, rng, n=10, kmax=3)
+            for q in (rep.ops["H"], rep.ops["J"]):
+                w, v = real_eigh(op_matrix(q, ctx))
+                dense = v @ (np.exp(0.7j * w) * (v.conj().T @ psi.coeffs.ravel()))
+                assert np.linalg.norm(exp_apply(q, 0.7, psi, ctx).coeffs.ravel() - dense) <= 1e-12
+    assert blocks and not any(dtype.kind == "c" for dtype in blocks)
+
+
+def test_theta_breaking_generators_take_the_complex_solver(monkeypatch, rng):
+    """A Hermitian generator that Theta does not leave invariant keeps the complex solver: y1 p1
+    maps to -y2 p2.  With y1^2 + p2^2 the parity classes of (a, b) swap into one another, so no
+    real form is tried; with the rotation and the isotropic oscillator every sector is swap
+    closed, and the defect turns the real form down."""
+    blocks = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: blocks.append(a.dtype) or real_eigh(a, *args, **kw))
+    ctx = ladder_build(12, 1.1, dims=2)
+    psi = probe_state(ctx, rng, kmax=4)
+    y1p1 = quadratic(2, yp=np.diag([0.3, 0.0]))
+    swapped_off = y1p1 + quadratic(2, yy=np.diag([1.0, 0.0]), pp=np.diag([0.0, 1.0]))
+    swap_closed = y1p1 + ROTATION + OSCILLATOR
+    for q, closed in ((swapped_off, False), (swap_closed, True)):
+        mat = op_matrix(q, ctx)
+        complex_groups = [idx for idx in _sectors(mat) if mat[np.ix_(idx.ravel(), idx.ravel())].imag.any()]
+        assert complex_groups
+        for idx in complex_groups:
+            assert (_swap_layouts(idx, ctx.n) is not None) == closed
+            assert _theta_form(mat, idx, ctx.n, THETA_TOL * np.max(np.abs(mat))) is None
+        blocks.clear()
+        w, v = real_eigh(mat)
+        for t in (0.37, -1.9):
+            dense = v @ (np.exp(1j * t * w) * (v.conj().T @ psi.coeffs.ravel()))
+            assert np.linalg.norm(exp_apply(q, t, psi, ctx).coeffs.ravel() - dense) <= 1e-12
+        assert any(dtype.kind == "c" for dtype in blocks)
