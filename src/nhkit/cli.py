@@ -193,8 +193,19 @@ ATLAS_BASE = {key: DUAL_POINT[key] for key in ("h", "p", "k", "j", "tau")}  # or
 # command implementations
 # --------------------------------------------------------------------------
 
+def _classified(point: DualPoint, tol: float, where: str):
+    """`classify` compares f with m tau at the scale max(|f|, tau |m|) and sums p^2, k^2/tau^2,
+    p x k and h, j times f, m, 1/tau or 1/tau^2 into invariants; where the scale or an invariant
+    is not finite, the class would rest on a comparison with inf or NaN: a scenario error."""
+    cls, inv = classify(point, tol)
+    values = inv.as_dict()
+    _require(math.isfinite(point.tau * point.m) and all(map(math.isfinite, values.values())),
+             f"{where} {point} puts tau |m| or an invariant out of float range: {values}")
+    return cls, inv
+
+
 def _run_classify(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[str]]:
-    cls, inv = classify(inputs["point"], tol["classify"])
+    cls, inv = _classified(inputs["point"], tol["classify"], "classify input 'point'")
     metrics = {
         "class": cls.value,
         "dimension": cls.dimension,
@@ -209,7 +220,8 @@ def _run_orbit_atlas(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, li
     counts: dict[str, int] = {}
     for f in inputs["f_values"]:
         for m in inputs["m_values"]:
-            cls, inv = classify(DualPoint(f=f, m=m, **inputs["base"]), tol["classify"])
+            cls, inv = _classified(DualPoint(f=f, m=m, **inputs["base"]), tol["classify"],
+                                   f"orbit-atlas input 'base' at f {f}, m {m}:")
             d = inv.as_dict()
             c1 = d.get("C1", "")
             c2 = d.get("C2", "")
@@ -234,8 +246,8 @@ def _run_evolve(inputs: dict, tol: dict, seed: int) -> tuple[dict, dict, list[st
     for t in times:
         x = evolve(x0, t)
         h, j = hamiltonian(x), angular_momentum(x)
-        h_drift = max(h_drift, abs(h - h0))
-        j_drift = max(j_drift, abs(j - j0))
+        h_drift = _worst(h_drift, abs(h - h0))  # NaN, where the energy overflows, fails the check
+        j_drift = _worst(j_drift, abs(j - j0))
         rows.append(f"{t},{x.q.x1},{x.q.x2},{x.p.x1},{x.p.x2},{h},{j}")
     budget = tol["conservation"]
     metrics = {"h_drift": h_drift, "j_drift": j_drift, "rows": len(rows) - 1}

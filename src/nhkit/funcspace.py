@@ -11,15 +11,16 @@ derivative operators have exact sparse matrix elements and act axis by axis
 products of the same per-axis matrices.  Exponentials of quadratic Hermitian
 generators are evaluated by eigendecomposition per exact sector, a connected
 component of the generator's nonzero pattern (unitary to machine precision),
-with one stored eigenvector array per group of sectors.  A sector is solved in
-real arithmetic where its block is real, and on a 2D context also where it is
-complex but invariant under the antiunitary Θ = (y1 <-> y2, p1 <-> p2) o
-(complex conjugation), as H and J of cases A, F and G are: a fixed sparse
-basis makes such a block real symmetric.  Any other complex sector falls back
-to the complex solver.  Phase/shift displacements are the continuum matrix
-elements in closed form by default, or on a `pad=0` context the exponentials
-of the truncated generators: diag(i^-n) Vy (E_d F E_y) Vy^T from the real
-eigenvectors Vy of y and F = Vy^T diag(i^n) Vy, built by two real GEMMs.
+with one stored eigenvector array per group of sectors.  The solver is read
+off `coef` by exact rules: real arithmetic where no term is odd in p, so the
+matrix is real, and on a 2D context also where `coef` is invariant under the
+antiunitary Θ = (y1 <-> y2, p1 <-> p2) o (complex conjugation), as H and J of
+cases A, F and G are: a fixed sparse basis makes every block real symmetric.
+Any other generator takes the complex solver.  Phase/shift displacements are
+the continuum matrix elements in closed form by default, or on a `pad=0`
+context the exponentials of the truncated generators: diag(i^-n) Vy (E_d F
+E_y) Vy^T from the real eigenvectors Vy of y and F = Vy^T diag(i^n) Vy, built
+by two real GEMMs.
 """
 
 from __future__ import annotations
@@ -370,11 +371,16 @@ def op_matrix(q: QuadraticOperator, ctx: BasisContext) -> np.ndarray:
     return mat.reshape(n**ctx.dims, n**ctx.dims)
 
 
-def _sectors(mat: np.ndarray) -> list[np.ndarray]:
+def _sectors(mat: np.ndarray, swap: bool = False) -> list[np.ndarray]:
     """Connected components of the exact nonzero pattern of a square matrix,
-    grouped by size: one (k, s) array of ascending indices per size s."""
+    grouped by size: one (k, s) array of ascending indices per size s.  With
+    `swap`, over a 2D basis, each index (a, b) is also joined to (b, a), so
+    every component is closed under the axis swap."""
     rows, cols = np.nonzero(mat)
     label = np.arange(mat.shape[0])
+    if swap:
+        n = math.isqrt(mat.shape[0])
+        rows, cols = np.concatenate([rows, label]), np.concatenate([cols, (label % n) * n + label // n])
     while True:  # min-label propagation with pointer jumping
         new = label.copy()
         np.minimum.at(new, rows, label[cols])
@@ -388,56 +394,48 @@ def _sectors(mat: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-THETA_TOL = 64 * np.finfo(float).eps  # the rounding level of a Θ defect, relative to max |M|
+def _solver(q: QuadraticOperator) -> str:
+    """The solver `_exp_factors` takes for q, read off its coef: "real" where no
+    term is odd in p (coef[0, p] and coef[y, p] all 0), "theta" where in 2D coef
+    equals its image under Θ, y_i -> y_σ(i) and p_i -> -p_σ(i), bit for bit, and
+    "complex" otherwise.  A coef with an imaginary part is not Hermitian: refused."""
+    if q.coef.imag.any():
+        raise ValueError("generator not Hermitian: its coef has an imaginary part")
+    c, d = q.coef.real, q.dims
+    if not (c[0, d + 1 :].any() or c[1 : d + 1, d + 1 :].any()):
+        return "real"
+    swap, sign = [0, 2, 1, 4, 3], np.array([1.0, 1.0, 1.0, -1.0, -1.0])  # Θ on z = (1, y1, y2, p1, p2)
+    return "theta" if d == 2 and np.array_equal(c[np.ix_(swap, swap)] * np.outer(sign, sign), c) else "complex"
 
 
-def _swap_layouts(idx: np.ndarray, n: int):
-    """How the axis swap (a, b) -> (b, a) permutes the positions of each sector
-    of a group (k, s) of 2D indices: one (rows, p, q, f) per distinct count of
-    fixed positions, with the group's sectors `rows` that have it, their paired
-    positions p < q = swap(p) and their fixed positions f, each (len(rows), m).
-    None where the swap takes a sector off itself."""
+def _theta_form(mat: np.ndarray, idx: np.ndarray, n: int):
+    """The real form R = Re(W^H B W) of a group (k, s) of swap-closed 2D sector
+    blocks B that Θ = (axis swap) o (complex conjugation) leaves invariant,
+    S conj(B) S = B, in the columns (e_p + e_q)/sqrt 2, i (e_p - e_q)/sqrt 2 per
+    swapped pair p <-> q and e_f per fixed position.  R is read off the sub-blocks
+    B_PP, B_PQ, B_PF, B_FP and B_FF, by B_QQ = conj B_PP, B_QP = conj B_PQ and the
+    like; it is symmetric exactly when B is Hermitian.  Returned with the layouts,
+    one (rows, p, q, f) per distinct count of fixed positions: the group's sectors
+    `rows` that have it, their paired positions p < q = swap(p) and their fixed
+    positions f, each (len(rows), m)."""
     k, s = idx.shape
     slot = np.full(n * n, -1)
     slot[idx] = np.arange(k * s).reshape(k, s)
-    slot = slot[(idx % n) * n + idx // n]  # flat slot of each swapped index, -1 off the group
-    if np.any(slot // s != np.arange(k)[:, None]):
-        return None
-    image, pos = slot % s, np.arange(s)
+    image, pos = slot[(idx % n) * n + idx // n] % s, np.arange(s)
     nfix = np.count_nonzero(image == pos, axis=1)
-    layouts = []
-    for nf in np.unique(nfix):
-        rows = np.flatnonzero(nfix == nf)
-        p = np.nonzero(pos < image[rows])[1].reshape(len(rows), -1)
-        f = np.nonzero(pos == image[rows])[1].reshape(len(rows), -1)
-        layouts.append((rows, p, np.take_along_axis(image[rows], p, 1), f))
-    return layouts
-
-
-def _theta_form(mat: np.ndarray, idx: np.ndarray, n: int, tol: float):
-    """The real form R = Re(W^H B W) of a group of complex 2D sector blocks B that
-    Θ = (axis swap) o (complex conjugation) leaves invariant, S conj(B) S = B, in
-    the columns (e_p + e_q)/sqrt 2, i (e_p - e_q)/sqrt 2 per swapped pair p <-> q and
-    e_f per fixed position; with the layouts of `_swap_layouts`.  R is read off the
-    sub-blocks B_PP, B_PQ, B_PF, B_FP and B_FF, by B_QQ = conj B_PP, B_QP = conj B_PQ
-    and the like; it is symmetric exactly when B is Hermitian.  None where the
-    swap takes a sector off itself or the defect max |S conj(B) S - B| exceeds tol."""
-    layouts = _swap_layouts(idx, n)
-    if layouts is None:
-        return None
-    real = np.empty((len(idx),) + idx.shape[1:] * 2)
-    root2 = np.sqrt(2.0)
+    real, layouts, root2 = np.empty((k, s, s)), [], np.sqrt(2.0)
 
     def sub(a, b):
         return mat[a[:, :, None], b[:, None, :]]
 
-    for rows, p, q, f in layouts:
-        gp, gq, gf = (np.take_along_axis(idx[rows], pos, 1) for pos in (p, q, f))
+    for nf in np.unique(nfix):
+        rows = np.flatnonzero(nfix == nf)
+        p = np.nonzero(pos < image[rows])[1].reshape(len(rows), -1)
+        f = np.nonzero(pos == image[rows])[1].reshape(len(rows), -1)
+        q = np.take_along_axis(image[rows], p, 1)
+        layouts.append((rows, p, q, f))
+        gp, gq, gf = (np.take_along_axis(idx[rows], at, 1) for at in (p, q, f))
         pp, pq, pf, fp, ff = sub(gp, gp), sub(gp, gq), sub(gp, gf), sub(gf, gp), sub(gf, gf)
-        defect = max(np.max(np.abs(a.conj() - b), initial=0.0) for a, b in (
-            (sub(gq, gq), pp), (sub(gq, gp), pq), (sub(gq, gf), pf), (sub(gf, gq), fp), (ff, ff)))
-        if defect > tol:
-            return None
         m = p.shape[1]
         u, v, w = slice(None, m), slice(m, 2 * m), slice(2 * m, None)
         for r, c, part in (
@@ -470,38 +468,27 @@ def _exp_factors(q: QuadraticOperator, ctx: BasisContext):
     eigenvalues and eigenvectors V, one array.  Entries outside the sectors are
     exactly 0, so the blocks' eigendecompositions are the matrix's.
 
-    A group whose blocks are exactly real takes the real solver.  On a 2D
-    context a complex group whose every sector the axis swap maps onto itself,
-    and whose blocks the antiunitary Θ = (y1 <-> y2, p1 <-> p2) o (complex
-    conjugation) leaves invariant to within `THETA_TOL` max |M|, is solved in
-    real arithmetic too, through `_theta_form`: Θ^2 = 1, so Θ-invariant blocks
-    are real symmetric in a fixed sparse basis W (Wigner; Dyson, J. Math. Phys.
-    3 (1962) 1199).  H and J of cases A, F and G are Θ-invariant at every label
-    set: Θ swaps P1 and P2 and maps K1 to -K2.  Any other complex group takes
-    the complex solver."""
+    The solver comes from q's coef (`_solver`).  M is Hermitian exactly when
+    coef is real, and real where no term is odd in p: then every block takes the
+    real solver.  Where coef is invariant under the antiunitary Θ = (y1 <-> y2,
+    p1 <-> p2) o (complex conjugation), each (a, b) is joined to (b, a) in the
+    sectors, and Θ^2 = 1 makes every block real symmetric in a fixed sparse basis
+    W (`_theta_form`; Wigner; Dyson, J. Math. Phys. 3 (1962) 1199).  H and J of
+    cases A, F and G are Θ-invariant at every label set: Θ swaps P1 and P2 and
+    maps K1 to -K2.  Any other generator takes the complex solver."""
     key = q.cache_key()
     if key not in ctx._exp_cache:
+        solver = _solver(q)
         mat = op_matrix(q, ctx)
-        scale = np.max(np.abs(mat))
-        tol = 1e-10 * max(1.0, scale)
-        complex_rows = mat.imag.any(axis=1)  # a sector holds every nonzero entry of its rows
         factors = []
-        for idx in _sectors(mat):
-            form = None
-            if ctx.dims == 2 and complex_rows[idx].any():
-                form = _theta_form(mat, idx, ctx.n, THETA_TOL * scale)
-            if form is None:
-                block = mat[idx[:, :, None], idx[:, None, :]]
-                if not block.imag.any():  # an exactly real block takes the real solver
-                    block = block.real
+        for idx in _sectors(mat, swap=solver == "theta"):
+            if solver == "theta":
+                block, layouts = _theta_form(mat, idx, ctx.n)
             else:
-                block = form[0]
-            herm_defect = np.max(np.abs(block - block.conj().swapaxes(-1, -2)))
-            if herm_defect > tol:
-                raise ValueError(f"assembled generator not Hermitian (defect {herm_defect:.2e})")
-            w, v = np.linalg.eigh(block)
+                block = mat[idx[:, :, None], idx[:, None, :]]
+            w, v = np.linalg.eigh(block.real if solver == "real" else block)
             # stored complex: matmul would cast a real V to complex on every apply
-            factors.append((idx, w, v.astype(complex, copy=False) if form is None else _theta_vectors(v, form[1])))
+            factors.append((idx, w, _theta_vectors(v, layouts) if solver == "theta" else v.astype(complex, copy=False)))
         ctx._exp_cache[key] = factors
     return ctx._exp_cache[key]
 
@@ -521,8 +508,7 @@ def exp_apply(
     """psi -> exp(i t M) psi with M the assembled matrix of q, on every state
     of a stack.
 
-    M must be Hermitian (q with real `coef`); each sector's block is checked
-    before it is factored, and a `ValueError` is raised if it is not.  The
+    M must be Hermitian: a q whose `coef` is not real raises a `ValueError`.  The
     exponential is exactly unitary because it is evaluated through the
     eigendecomposition of M, one exact sector of M at a time: V e^{i t w} V^H x,
     with V^H x formed as conj(x^H V), so only V is stored.

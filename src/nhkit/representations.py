@@ -324,12 +324,13 @@ def _sigma(labels: RepLabels) -> float:
 def _operators_1d(labels: RepLabels) -> dict[str, QuadraticOperator]:
     """Translation and boost generators of the inner representation on one
     variable: cases B/D on the x-side, C/E mirrored; P1 carries the label
-    sqrt(C3) of case B and sqrt(C3') of case C."""
+    sqrt(C3) of case B and sqrt(C3') of case C.  P2 = (sigma/tau)(p - sigma f y)
+    and K1 = sigma f y - p commute exactly, so W's coef is exactly real."""
     f, tau, cls, sigma = labels.f, labels.tau, labels.orbit_class, _sigma(labels)
     label = math.sqrt({OrbitClass.B: labels.C3, OrbitClass.C: labels.C3p}.get(cls, 0.0))
     return {
         "P1": linear(1, label, p=[-1 / tau]),
-        "P2": linear(1, y=[-f / tau], p=[sigma / tau]),
+        "P2": (sigma / tau) * linear(1, y=[-sigma * f], p=[1.0]),
         "K1": linear(1, y=[sigma * f], p=[-1.0]),
         "K2": linear(1, p=[-sigma]),
     }
@@ -620,7 +621,7 @@ class Case:
 
 CASES = {
     "a": Case(labels_case_a, {"f": 3.0, "m": 1.0, "C1": 1.0, "C2": 0.5}, InducedRep2D, _free, 1e-3,
-              n=32, kmax=1),
+              n=40, kmax=1),
     "b": Case(labels_case_b, {"m": 1.0, "C3": 1.0, "C4": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,
               n=96, kmax=2),
     "c": Case(labels_case_c, {"m": 1.0, "C3p": 1.0, "C4p": 0.7, "kappa1": 0.3}, InducedRepBC, _ON_CIRCLE, 1e-3,

@@ -494,6 +494,94 @@ def test_rep_check_inputs_never_exit_3(inputs):
             assert all(math.isfinite(x) for x in _numbers(json.loads(out.read_text())["metrics"]))
 
 
+# inputs that keep each example to milliseconds; edge values then replace one or two inputs
+SMALL_INPUTS = {
+    "group-check": {"samples": 2}, "algebra-check": {"rank_samples": 1}, "evolve": {"dt": 0.5},
+    "classify": {"point": {"f": 0.5, "m": 1.0, **BASE, "tau": 1.0}}, "orbit-atlas": {},
+}
+
+
+def _as_json(value):
+    """A default of `cli.SPECS` as its JSON input: 2-lists for vectors."""
+    if isinstance(value, Vec2):
+        return [value.x1, value.x2]
+    return {key: _as_json(v) for key, v in value.items()} if isinstance(value, dict) else value
+
+
+def _edge(draw, value, keys=None):
+    """An edge value in place of `value`: in an object, one or two of its fields (or of `keys`) at
+    an edge value of their own; in a list, one entry (three times in four) or the whole list."""
+    if isinstance(value, dict):
+        for key in draw(st.lists(st.sampled_from(sorted(keys or value)), min_size=1, max_size=2, unique=True)):
+            value = {**value, key: _edge(draw, value.get(key))}
+        return value
+    if isinstance(value, list) and draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(value) - 1))
+        return value[:at] + [draw(st.sampled_from(EDGE_VALUES))] + value[at + 1 :]
+    return draw(st.sampled_from(EDGE_VALUES))
+
+
+@st.composite
+def edge_inputs(draw, command):
+    """The command's inputs from its `cli.SPECS` table at their defaults (a computed or required
+    one left out) and SMALL_INPUTS, with one or two of the table's inputs at an edge value."""
+    table = cli.SPECS[command][1]
+    inputs = {key: _as_json(default) for key, (_, default) in table.items() if not callable(default)}
+    return _edge(draw, inputs | SMALL_INPUTS[command], keys=table)
+
+
+def _csv_numbers(rows: list[str]) -> list[float]:
+    """Every field of the CSV rows after the header that reads as a number."""
+    numbers = []
+    for field in (field for row in rows[1:] for field in row.split(",")):
+        try:
+            numbers.append(float(field))
+        except ValueError:  # a class letter, or an invariant the class lacks
+            pass
+    return numbers
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_INPUTS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)  # about 4 s of tier-1 for the five commands
+def test_classical_inputs_never_exit_3(command, data):
+    """Any such scenario of group-check, algebra-check, evolve, classify or orbit-atlas is rejected
+    (2) or runs to a report (0 or 1), never an internal error (3), and a report that passes (0)
+    holds no NaN or infinite metric, invariant or CSV field."""
+    inputs = data.draw(edge_inputs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out, rows = Path(tmp, "scenario.json"), Path(tmp, "report.json"), Path(tmp, "rows.csv")
+        scenario.write_text(json.dumps({"inputs": inputs}))
+        code = _main(command, "--scenario", str(scenario), "--out", str(out), "--csv-out", str(rows))
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert all(math.isfinite(x) for x in _numbers(json.loads(out.read_text())["metrics"]))
+            assert not rows.exists() or all(map(math.isfinite, _csv_numbers(rows.read_text().splitlines())))
+
+
+def test_overflowing_invariants_exit_2(tmp_path, capsys):
+    """p = (1e300, 0) puts C1 = p^2 out of float range: classify printed "C1": Infinity, which is not
+    JSON, and orbit-atlas wrote inf into its CSV, both with exit 0.  At m = 1e300, tau = 1e10 the
+    scale tau |m| overflowed, and a point with m != 0 was put in class H, where m = 0."""
+    point = {"f": 0, "m": 1, "h": 0, "p": [1e300, 0], "k": [0, 0], "j": 2, "tau": 1}
+    assert _main("classify", "--point", json.dumps(point)) == 2
+    assert "classify input 'point'" in capsys.readouterr().err
+    assert _main("classify", "--point", json.dumps({**point, "m": 1e300, "p": [1, 0], "tau": 1e10})) == 2
+    assert "classify input 'point'" in capsys.readouterr().err
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"inputs": {"base": {key: point[key] for key in ("h", "p", "k", "j", "tau")}}}))
+    assert _main("orbit-atlas", "--scenario", str(scenario), "--csv-out", str(tmp_path / "atlas.csv")) == 2
+    assert "orbit-atlas input 'base'" in capsys.readouterr().err
+
+
+def test_evolve_nan_drift_fails(tmp_path, capsys):
+    """At m = 5e-324 the energy overflows, so every drift is inf - inf = NaN; a running max() kept
+    0.0 and evolve exited 0 with inf and NaN in its CSV rows."""
+    assert _main("evolve", "--m", "5e-324", "--csv-out", str(tmp_path / "orbit.csv")) == 1
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert math.isnan(metrics["h_drift"]) and math.isnan(metrics["j_drift"])
+
+
 def test_group_check_finite_at_the_smallest_accepted_tau():
     """At the smallest tau the rule accepts, every residual is finite (the check may still fail)."""
     low, high = 1e-3, 0.5  # rejected, accepted

@@ -10,11 +10,9 @@ from nhkit.funcspace import (
     HermiteState,
     QuadraticOperator,
     ResolutionWarning,
-    THETA_TOL,
     _displacement_tables,
     _sectors,
-    _swap_layouts,
-    _theta_form,
+    _solver,
     displacement_apply,
     exp_apply,
     ground_state,
@@ -27,7 +25,19 @@ from nhkit.funcspace import (
     probe_state,
     product,
 )
-from nhkit.representations import CASES, case_setup, labels_case_a, labels_case_f, labels_case_g
+from nhkit.representations import (
+    CASES,
+    case_setup,
+    generators,
+    intertwiner_generator,
+    labels_case_a,
+    labels_case_b,
+    labels_case_c,
+    labels_case_d,
+    labels_case_e,
+    labels_case_f,
+    labels_case_g,
+)
 from conftest import hermite_fn
 
 
@@ -536,6 +546,88 @@ def random_labels_2d(rng):
             "g": labels_case_g(f, c1, c2, tau)}
 
 
+def is_swap_closed(idx: np.ndarray, n: int) -> bool:
+    """Whether the axis swap (a, b) -> (b, a) maps each sector of a group (k, s) of 2D indices onto itself."""
+    return np.array_equal(np.sort((idx % n) * n + idx // n, axis=1), idx)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_real_rule_holds_exactly_when_the_assembled_matrix_is_real(dims, rng):
+    """No term is odd in p (coef[0, p] and coef[y, p] all 0) exactly when op_matrix has no imaginary
+    entry, over random real coefs with random entries zeroed."""
+    ctx = ladder_build(6, 1.3, dims=dims)
+    seen = set()
+    for _ in range(60):
+        coef = rng.normal(size=(2 * dims + 1,) * 2) * (rng.random((2 * dims + 1,) * 2) < rng.uniform(0.0, 0.5))
+        q = QuadraticOperator(coef + coef.T)
+        real = _solver(q) == "real"
+        assert real == (not op_matrix(q, ctx).imag.any())
+        seen.add(real)
+    assert seen == {True, False}
+
+
+def test_swap_fixed_coef_assembles_to_a_theta_invariant_matrix(rng):
+    """A coef equal to its Theta image (y_i -> y_swap(i), p_i -> -p_swap(i)) takes the real form, and its
+    matrix M has S conj(M) S = M to rounding, S the axis swap; y1 p1 and its like are not swap-fixed."""
+    n, perm, sign = 7, [0, 2, 1, 4, 3], np.array([1.0, 1.0, 1.0, -1.0, -1.0])
+    ctx = ladder_build(n, 1.2, dims=2)
+    swap = (np.arange(n * n) % n) * n + np.arange(n * n) // n
+    for _ in range(10):
+        coef = rng.normal(size=(5, 5))
+        fixed = QuadraticOperator((coef + coef.T + (coef + coef.T)[np.ix_(perm, perm)] * np.outer(sign, sign)) / 4)
+        assert _solver(fixed) == "theta"
+        mat = op_matrix(fixed, ctx)
+        assert np.max(np.abs(mat[np.ix_(swap, swap)].conj() - mat)) <= 1e-14 * np.max(np.abs(mat))
+    assert _solver(ROTATION) == "theta"
+    for yp in (np.diag([0.3, 0.0]), np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        assert _solver(quadratic(2, yp=yp)) == "complex"
+
+
+def test_swap_joined_sectors_are_swap_closed(rng):
+    """With the swap join every sector is closed under (a, b) -> (b, a), also on patterns the swap does
+    not preserve, and the sectors cover each index once; on H and J of A, F and G, whose patterns
+    the swap preserves and which take the real form, the join changes no sector."""
+    n = 9
+    ctx = ladder_build(n, 1.1, dims=2)
+    swapped_off = quadratic(2, yp=np.diag([0.3, 0.0]), yy=np.diag([1.0, 0.0]), pp=np.diag([0.0, 1.0]))
+    mats = [op_matrix(q, ctx) for q in (swapped_off, ROTATION + OSCILLATOR)]
+    mats += [rng.random((n * n, n * n)) < 0.01 for _ in range(3)]
+    for case in "afg":
+        cctx, rep, _ = canonical_setup(case, rng, n)
+        for q in (rep.ops["H"], rep.ops["J"]):
+            mat = op_matrix(q, cctx)
+            if _solver(q) == "theta":
+                joined, plain = _sectors(mat, swap=True), _sectors(mat)
+                assert len(joined) == len(plain) and all(map(np.array_equal, joined, plain))
+            mats.append(mat)
+    for mat in mats:
+        groups = _sectors(mat, swap=True)
+        assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in groups])), np.arange(n * n))
+        assert all(is_swap_closed(idx, n) for idx in groups)
+
+
+def random_labels_1d(rng):
+    """Labels of B-E off their canonical points: tau and the mass's sign and size drawn, C3 > 0."""
+    tau, m = rng.uniform(0.5, 2.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+    c3, (c4, c5, k1, k2) = rng.uniform(0.2, 2.0), rng.uniform(-1.5, 1.5, 4)
+    return {"b": labels_case_b(m, c3, c4, k1, tau), "c": labels_case_c(m, c3, c4, k1, tau),
+            "d": labels_case_d(m, c4, c5, k1, k2, tau), "e": labels_case_e(m, c4, c5, k1, k2, tau)}
+
+
+def test_carrier_generators_have_exact_coefs(rng):
+    """The solver rules read coef bit for bit: H and J of A, F and G are real and take the real
+    solver or the real form; W of B-E is real too (P2 and K1 commute exactly), so exp_apply refuses
+    no carrier generator.  At the canonical labels and 40 random label draws."""
+    draws = [{case: CASES[case].factory(**CASES[case].labels) for case in "abcdefg"}]
+    draws += [random_labels_2d(rng) | random_labels_1d(rng) for _ in range(40)]
+    for labels in draws:
+        for case, lab in labels.items():
+            if case in "afg":
+                assert all(_solver(generators(lab)[name]) in ("real", "theta") for name in ("H", "J"))
+            else:
+                assert not intertwiner_generator(lab).coef.imag.any()
+
+
 def test_theta_invariant_generators_reach_only_the_real_solver(monkeypatch, rng):
     """H and J of A, F and G are invariant under Theta = (axis swap) o (complex conjugation), so
     every complex group of theirs is factored in real arithmetic: at the canonical labels and at
@@ -557,9 +649,9 @@ def test_theta_invariant_generators_reach_only_the_real_solver(monkeypatch, rng)
 
 def test_theta_breaking_generators_take_the_complex_solver(monkeypatch, rng):
     """A Hermitian generator that Theta does not leave invariant keeps the complex solver: y1 p1
-    maps to -y2 p2.  With y1^2 + p2^2 the parity classes of (a, b) swap into one another, so no
-    real form is tried; with the rotation and the isotropic oscillator every sector is swap
-    closed, and the defect turns the real form down."""
+    maps to -y2 p2, so neither coef below equals its Theta image.  With y1^2 + p2^2 the parity
+    classes of (a, b) swap into one another; with the rotation and the isotropic oscillator every
+    sector is swap closed.  Both are refused the real form by their coef alone."""
     blocks = []
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: blocks.append(a.dtype) or real_eigh(a, *args, **kw))
@@ -572,9 +664,9 @@ def test_theta_breaking_generators_take_the_complex_solver(monkeypatch, rng):
         mat = op_matrix(q, ctx)
         complex_groups = [idx for idx in _sectors(mat) if mat[np.ix_(idx.ravel(), idx.ravel())].imag.any()]
         assert complex_groups
+        assert _solver(q) == "complex"
         for idx in complex_groups:
-            assert (_swap_layouts(idx, ctx.n) is not None) == closed
-            assert _theta_form(mat, idx, ctx.n, THETA_TOL * np.max(np.abs(mat))) is None
+            assert is_swap_closed(idx, ctx.n) == closed
         blocks.clear()
         w, v = real_eigh(mat)
         for t in (0.37, -1.9):
