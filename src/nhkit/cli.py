@@ -553,12 +553,27 @@ def run(scenario: dict) -> dict:
     return report
 
 
+def _finite_or_null(tree, name: str, nonfinite: list):
+    """`tree` with every NaN or infinite number as None, its dotted name appended to `nonfinite`."""
+    if isinstance(tree, dict):
+        return {key: _finite_or_null(value, f"{name}.{key}" if name else key, nonfinite) for key, value in tree.items()}
+    if isinstance(tree, (float, np.floating)) and not math.isfinite(tree):
+        nonfinite.append(name)
+        return None
+    return tree
+
+
 def report_json(report: dict, drop_timing: bool = False) -> str:
+    """The report as strict JSON: a non-finite metric is written as null and named in
+    `metadata.nonfinite`, and any other NaN or infinity raises."""
     out = {key: value for key, value in report.items() if key != "csv"}
+    nonfinite: list[str] = []
+    out["metrics"] = _finite_or_null(out["metrics"], "", nonfinite)
+    out["metadata"] = {**out["metadata"], "nonfinite": nonfinite}
     if drop_timing:
         out["metadata"] = {key: value for key, value in out["metadata"].items() if key != "wall_time_s"}
     # numpy scalars, such as the np.bool_ of a budget comparison, are written as their Python value
-    return json.dumps(out, indent=2, sort_keys=True, default=lambda obj: obj.item())
+    return json.dumps(out, indent=2, sort_keys=True, allow_nan=False, default=lambda obj: obj.item())
 
 
 # the flags that set one input each, with their argparse type ("JSON" for a JSON value)

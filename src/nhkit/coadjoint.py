@@ -232,8 +232,11 @@ def random_point_in_class(
     built in exactly so that classification at default tolerance is stable.
     """
 
+    def sign(size=None):  # +-1.0 from one integer draw each, as rng.choice([-1.0, 1.0]) draws
+        return 2.0 * rng.integers(0, 2, size) - 1.0
+
     def unit_out(lo=0.3):
-        w = rng.uniform(lo, spread, size=2) * rng.choice([-1.0, 1.0], size=2)
+        w = rng.uniform(lo, spread, size=2) * sign(2)
         return Vec2(float(w[0]), float(w[1]))
 
     def scalar():
@@ -243,14 +246,14 @@ def random_point_in_class(
     zero = Vec2.zero()
     if cls is OrbitClass.A:
         while True:
-            f = float(rng.uniform(0.3, spread)) * float(rng.choice([-1.0, 1.0]))
-            m = float(rng.uniform(0.3, spread)) * float(rng.choice([-1.0, 1.0]))
+            f = float(rng.uniform(0.3, spread)) * float(sign())
+            m = float(rng.uniform(0.3, spread)) * float(sign())
             if abs(f - m * tau) > 0.1 and abs(f + m * tau) > 0.1:
                 break
         return DualPoint(f, m, h, unit_out(0.0), unit_out(0.0), j, tau)
     if cls in (OrbitClass.B, OrbitClass.D, OrbitClass.C, OrbitClass.E):
         sigma = 1.0 if cls in (OrbitClass.B, OrbitClass.D) else -1.0  # f = sigma m tau
-        m = float(rng.uniform(0.3, spread)) * float(rng.choice([-1.0, 1.0]))
+        m = float(rng.uniform(0.3, spread)) * float(sign())
         k = unit_out()
         if cls in (OrbitClass.B, OrbitClass.C):
             p = unit_out()
@@ -261,10 +264,10 @@ def random_point_in_class(
             p = k.perp() * (-sigma / tau)
         return DualPoint(sigma * m * tau, m, h, p, k, j, tau)
     if cls is OrbitClass.F:
-        m = float(rng.uniform(0.3, spread)) * float(rng.choice([-1.0, 1.0]))
+        m = float(rng.uniform(0.3, spread)) * float(sign())
         return DualPoint(0.0, m, h, unit_out(0.0), unit_out(0.0), j, tau)
     if cls is OrbitClass.G:
-        f = float(rng.uniform(0.3, spread)) * float(rng.choice([-1.0, 1.0]))
+        f = float(rng.uniform(0.3, spread)) * float(sign())
         return DualPoint(f, 0.0, h, unit_out(0.0), unit_out(0.0), j, tau)
     if cls is OrbitClass.H:
         while True:

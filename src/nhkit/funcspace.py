@@ -11,13 +11,17 @@ derivative operators have exact sparse matrix elements and act axis by axis
 products of the same per-axis matrices.  Exponentials of quadratic Hermitian
 generators are evaluated by eigendecomposition per exact sector, a connected
 component of the generator's nonzero pattern (unitary to machine precision),
-with one stored eigenvector array per group of sectors.  The solver is read
+with one stored eigenvector array per group of sectors; sectors below 64
+positions are stacked by size class [2^j, 2^(j+1)) and padded with identity
+blocks at a spare zero slot of the state.  The solver is read
 off `coef` by exact rules: real arithmetic where no term is odd in p, so the
 matrix is real, and on a 2D context also where `coef` is invariant under the
 antiunitary Θ = (y1 <-> y2, p1 <-> p2) o (complex conjugation), as H and J of
 cases A, F and G are: a fixed sparse basis makes every block real symmetric.
 Any other generator takes the complex solver.  Phase/shift displacements are
-the continuum matrix elements in closed form by default, or on a `pad=0`
+the continuum matrix elements in closed form by default, a table of
+g_k^(d)(|alpha|^2) times a phase assembly, with each `pad=None` context keeping
+the tables of its last `dims` displacements for reuse; or on a `pad=0`
 context the exponentials of the truncated generators: diag(i^-n) Vy (E_d F
 E_y) Vy^T from the real eigenvectors Vy of y and F = Vy^T diag(i^n) Vy, built
 by two real GEMMs.
@@ -54,44 +58,41 @@ def _ladder_matrices(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _displacement_tables(n: int) -> tuple[np.ndarray, ...]:
-    """What `phase_shift_block` needs of n alone, read-only: modes d, the rows d/2 and
-    log(d!)/2, coefficients a, b, c [k, d], signs (-1)^d, and per element (row, col) the
-    gather indices min(row, col) and |row - col| into g[k, d] and (row >= col) n + |row - col|
-    into the two phase rows."""
+    """What `phase_shift_block` needs of n alone, read-only.  For the table: modes d, the rows
+    d/2 and log(d!)/2, and coefficients a, b, c [k, d].  For the phase assembly: the exponents
+    (-d, d) of u in the phase row and its signs ((-1)^d, 1), and per element (row, col) the
+    index (row >= col) n + |row - col| into the phase row, the gather indices min(row, col)
+    and |row - col| into g[k, ..., d], and the flat index min(row, col) n + |row - col| into
+    one contiguous g[k, d]."""
     d, kk = np.arange(n), np.arange(n - 1)[:, None]
     # g_{k+1} = ((2k+1+d-x) g_k - sqrt(k(k+d)) g_{k-1}) / sqrt((k+1)(k+1+d))
     r = np.sqrt((kk + 1.0) * (kk + 1 + d))
     diff = np.subtract.outer(d, d)  # row - col
+    lo, dist = np.minimum.outer(d, d), abs(diff)
     tables = (d, d / 2.0, 0.5 * np.array([math.lgamma(k + 1.0) for k in d]),
-              (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r, (-1.0) ** d,
-              np.minimum.outer(d, d), abs(diff), (diff >= 0) * n + abs(diff))
+              (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r,
+              np.concatenate([-d, d]), np.concatenate([(-1.0) ** d, np.ones(n)]),
+              (diff >= 0) * n + dist, lo, dist, lo * n + dist)
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
-    """Continuum N x N block of (translation by `shift`) o (multiplication e^{i phase y})
-    in the basis of lam*y, batched over broadcast phase and shift: e^{-i shift phase/2}
-    D(alpha), alpha = (lam shift + i phase/lam)/sqrt(2), with the Cahill-Glauber elements
-    (Phys. Rev. 177 (1969) 1857) <k+d|D|k> = u^d g_k^(d), <k|D|k+d> = (-conj u)^d g_k^(d),
-    u = alpha/|alpha|, g_k^(d) = sqrt(k!/(k+d)!) x^(d/2) e^(-x/2) L_k^(d)(x), x = |alpha|^2,
-    by the stable three-term recurrence in k (the column recurrence in D|k> is unstable).
+def _alpha(lam: float, phase, shift) -> tuple[np.ndarray, np.ndarray]:
+    """alpha = (lam shift + i phase/lam)/sqrt(2) over the broadcast phase and shift, and
+    x = |alpha|^2 with a trailing axis of length 1."""
+    alpha = (lam * np.asarray(shift, float) + 1j * np.asarray(phase, float) / lam) / np.sqrt(2.0)
+    return alpha, np.abs(alpha)[..., None] ** 2
 
-    The coefficients, sign row and gather indices depend on n alone and are
-    built once per n.  The recurrence starts from g_0^(d) = x^(d/2) e^(-x/2) / sqrt(d!),
-    formed in log space, exp(-x/2 + (d/2) log x - log(d!)/2), so it underflows to 0
-    where a product of its factors would overflow; alpha = 0 gives the row (1, 0, 0, ...).
-    The recurrence runs k-major: g[k] is one contiguous row over (batch..., d), and
-    s[k] = a[k] - b[k] x is formed for every k up front, so each step is
-    g[k+1] = s[k] g[k] - c[k] g[k-1]."""
-    d, half_d, half_log_fact, a, b, c, sign, lo, dist, pick = _displacement_tables(n)
-    phase, shift = np.broadcast_arrays(np.asarray(phase, float), np.asarray(shift, float))
-    alpha = (lam * shift + 1j * phase / lam) / np.sqrt(2.0)
-    x = np.abs(alpha)[..., None] ** 2
-    lead = (slice(None),) + (None,) * alpha.ndim  # a[k] broadcast over the batch
+
+def _displacement_table(n: int, x: np.ndarray) -> np.ndarray:
+    """The table g[k, ..., d] = g_k^(d)(x) of `phase_shift_block`, with x from `_alpha`, by the
+    recurrence g[k+1] = s[k] g[k] - c[k] g[k-1], s[k] = a[k] - b[k] x, from the row g[0]
+    formed in log space."""
+    d, half_d, half_log_fact, a, b, c = _displacement_tables(n)[:6]
+    lead = (slice(None),) + (None,) * (x.ndim - 1)  # a[k] broadcast over the batch
     s = a[lead] - b[lead] * x
-    g = np.empty((n,) + alpha.shape + (n,))  # g[k, ..., d]
+    g = np.empty((n,) + x.shape[:-1] + (n,))  # g[k, ..., d]
     log_x = np.log(x, out=np.full_like(x, -np.inf), where=x > 0.0)  # no log at x = 0
     g[0, ..., 0] = 0.0  # the d = 0 exponent holds no log x
     np.multiply(half_d[1:], log_x, out=g[0, ..., 1:])
@@ -102,11 +103,44 @@ def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
     for s_k, c_k, prev, cur, nxt in zip(s[1:], c[1:], rows, rows[1:], rows[2:]):
         np.multiply(s_k, cur, out=nxt)
         nxt -= c_k * prev
-    turn = np.exp(1j * np.angle(alpha)[..., None] * d)  # u^d
-    phases = np.stack([sign * turn.conj(), turn], -2) * np.exp(-0.5j * shift * phase)[..., None, None]
-    out = np.take(phases.reshape(alpha.shape + (2 * n,)), pick, axis=-1)
+    return g
+
+
+def _phase_assembly(g: np.ndarray, alpha: np.ndarray, phase, shift) -> np.ndarray:
+    """The block from the table g of `_displacement_table` and alpha of `_alpha`: the phase row
+    (((-1)^d conj u^d), u^d) e^{-i shift phase/2}, u = alpha/|alpha|, gathered per element and
+    times g[min(row, col), |row - col|].  A scalar alpha gathers g with one flat `take`."""
+    turns, signs, pick, lo, dist, flat = _displacement_tables(len(g))[6:]
+    phases = signs * np.exp(np.multiply.outer(1j * np.angle(alpha), turns))
+    phases *= np.exp(-0.5j * np.asarray(shift, float) * np.asarray(phase, float))[..., None]
+    if alpha.ndim == 0:
+        out = phases.take(pick)
+        out *= g.take(flat)
+        return out
+    out = np.take(phases, pick, axis=-1)
     out *= np.moveaxis(g, 0, -2)[..., lo, dist]
     return out
+
+
+def phase_shift_block(n: int, lam: float, phase, shift) -> np.ndarray:
+    """Continuum N x N block of (translation by `shift`) o (multiplication e^{i phase y})
+    in the basis of lam*y, batched over broadcast phase and shift: e^{-i shift phase/2}
+    D(alpha), alpha = (lam shift + i phase/lam)/sqrt(2), with the Cahill-Glauber elements
+    (Phys. Rev. 177 (1969) 1857) <k+d|D|k> = u^d g_k^(d), <k|D|k+d> = (-conj u)^d g_k^(d),
+    u = alpha/|alpha|, g_k^(d) = sqrt(k!/(k+d)!) x^(d/2) e^(-x/2) L_k^(d)(x), x = |alpha|^2,
+    by the stable three-term recurrence in k (the column recurrence in D|k> is unstable).
+
+    The block is two pieces.  The table g_k^(d)(x) depends on x alone (`_displacement_table`),
+    so D(alpha) and D(-alpha), and every alpha = 0, share it; the phase assembly
+    (`_phase_assembly`) puts the phases of u and of the shift on it.  The coefficients, signs
+    and gather indices depend on n alone and are built once per n.  The recurrence starts from
+    g_0^(d) = x^(d/2) e^(-x/2) / sqrt(d!), formed in log space, exp(-x/2 + (d/2) log x -
+    log(d!)/2), so it underflows to 0 where a product of its factors would overflow; alpha = 0
+    gives the row (1, 0, 0, ...).  The recurrence runs k-major: g[k] is one contiguous row over
+    (batch..., d), and s[k] = a[k] - b[k] x is formed for every k up front, so each step is
+    g[k+1] = s[k] g[k] - c[k] g[k-1]."""
+    alpha, x = _alpha(lam, phase, shift)
+    return _phase_assembly(_displacement_table(n, x), alpha, phase, shift)
 
 
 class BasisContext:
@@ -137,6 +171,7 @@ class BasisContext:
             self._turn = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
             self._f = (self._vy.T * self._turn) @ self._vy  # F = Vy^T T Vy, symmetric
         self._exp_cache: dict = {}
+        self._tables: dict = {}  # pad=None: the tables of the last `dims` displacements, by x
 
     def parity_vector(self) -> np.ndarray:
         """Diagonal of the parity operator over the flattened basis."""
@@ -149,12 +184,27 @@ class BasisContext:
         """Matrix of (translation by `shift`) o (multiplication e^{i phase y})
         on the working block, with the semantics `pad` selects.
 
+        On `pad=None` it is `phase_shift_block`, and the context keeps the read-only
+        tables g_k^(d)(x) of its last `dims` displacements, keyed by the bytes of
+        x = |alpha|^2.  A displacement whose |alpha| repeats one of them, as U(g^-1) and
+        U(g) of a covariance check do per axis and the zero displacements of an
+        isotropy sample do, pays only the phase assembly.
+
         On `pad=0` it is diag(i^-n) Vy diag(E_d) F diag(E_y) Vy^T, with
         E_y = e^{i phase w} and E_d = e^{i shift lam^2 w}, from two real GEMMs:
         k = (Vy g^T)^T with g = diag(E_d) F diag(E_y), then Vy k, each the real
         Vy times the float view of a complex N x N array (N x 2N)."""
         if self.pad is None:
-            return phase_shift_block(self.n, self.lam, phase, shift)
+            alpha, x = _alpha(self.lam, phase, shift)
+            key = x.tobytes()
+            table = self._tables.get(key)
+            if table is None:
+                table = _displacement_table(self.n, x)
+                table.setflags(write=False)
+                if len(self._tables) == self.dims:
+                    del self._tables[next(iter(self._tables))]  # the oldest
+                self._tables[key] = table
+            return _phase_assembly(table, alpha, phase, shift)
         g_t = np.multiply.outer(np.exp(1j * phase * self._wy), np.exp(1j * shift * self.lam**2 * self._wy))
         g_t *= self._f  # in place: one N x N temporary fewer per call
         k = np.ascontiguousarray((self._vy @ g_t.view(float)).view(complex).T)
@@ -395,7 +445,7 @@ def _sectors(mat: np.ndarray, swap: bool = False) -> list[np.ndarray]:
 
 
 def _solver(q: QuadraticOperator) -> str:
-    """The solver `_exp_factors` takes for q, read off its coef: "real" where no
+    """The solver `_sector_factors` takes for q, read off its coef: "real" where no
     term is odd in p (coef[0, p] and coef[y, p] all 0), "theta" where in 2D coef
     equals its image under Θ, y_i -> y_σ(i) and p_i -> -p_σ(i), bit for bit, and
     "complex" otherwise.  A coef with an imaginary part is not Hermitian: refused."""
@@ -463,7 +513,7 @@ def _theta_vectors(vr: np.ndarray, layouts) -> np.ndarray:
     return out
 
 
-def _exp_factors(q: QuadraticOperator, ctx: BasisContext):
+def _sector_factors(q: QuadraticOperator, ctx: BasisContext) -> list:
     """Per group of equal-size sectors of the assembled generator M: indices,
     eigenvalues and eigenvectors V, one array.  Entries outside the sectors are
     exactly 0, so the blocks' eigendecompositions are the matrix's.
@@ -476,21 +526,62 @@ def _exp_factors(q: QuadraticOperator, ctx: BasisContext):
     W (`_theta_form`; Wigner; Dyson, J. Math. Phys. 3 (1962) 1199).  H and J of
     cases A, F and G are Θ-invariant at every label set: Θ swaps P1 and P2 and
     maps K1 to -K2.  Any other generator takes the complex solver."""
+    solver = _solver(q)
+    mat = op_matrix(q, ctx)
+    factors = []
+    for idx in _sectors(mat, swap=solver == "theta"):
+        if solver == "theta":
+            block, layouts = _theta_form(mat, idx, ctx.n)
+        else:
+            block = mat[idx[:, :, None], idx[:, None, :]]
+        w, v = np.linalg.eigh(block.real if solver == "real" else block)
+        # stored complex: matmul would cast a real V to complex on every apply
+        factors.append((idx, w, _theta_vectors(v, layouts) if solver == "theta" else v.astype(complex, copy=False)))
+    return factors
+
+
+def _exp_factors(q: QuadraticOperator, ctx: BasisContext) -> tuple[list, bool]:
+    """The context's cached factors of q, `_sector_factors` stacked by `_stack_classes`, and
+    whether any group is padded, so that `exp_apply` needs the spare slot."""
     key = q.cache_key()
     if key not in ctx._exp_cache:
-        solver = _solver(q)
-        mat = op_matrix(q, ctx)
-        factors = []
-        for idx in _sectors(mat, swap=solver == "theta"):
-            if solver == "theta":
-                block, layouts = _theta_form(mat, idx, ctx.n)
-            else:
-                block = mat[idx[:, :, None], idx[:, None, :]]
-            w, v = np.linalg.eigh(block.real if solver == "real" else block)
-            # stored complex: matmul would cast a real V to complex on every apply
-            factors.append((idx, w, _theta_vectors(v, layouts) if solver == "theta" else v.astype(complex, copy=False)))
-        ctx._exp_cache[key] = factors
+        factors = _sector_factors(q, ctx)
+        stacked = _stack_classes(factors, ctx.n**ctx.dims)
+        ctx._exp_cache[key] = stacked, len(stacked) < len(factors)
     return ctx._exp_cache[key]
+
+
+# Sectors below this size are stacked by size class: there a group's fixed cost, about ten
+# NumPy calls, outweighs its arithmetic.  Above it padding costs more than it saves (at N = 32,
+# padding G's J sectors of 150 to 225 slowed its apply from about 218 to 235 us).
+STACK_BELOW = 64
+
+
+def _stack_classes(factors: list, spare: int) -> list:
+    """The groups of `factors` with sectors below STACK_BELOW stacked by size class
+    [2^j, 2^(j+1)): one group per class, at the class's largest size s.  A smaller sector
+    is padded to s with identity columns of V and zero eigenvalues, which `exp_apply`
+    turns into identity blocks, at the index `spare` of a zero slot that it appends to the
+    state and drops after.  A class of one size keeps its group as it is."""
+    classes: dict[int, list] = {}
+    for group in factors:
+        s = group[0].shape[1]  # a size from STACK_BELOW up is its own class: its key exceeds every bit length below
+        classes.setdefault(s.bit_length() if s < STACK_BELOW else s, []).append(group)
+    stacked = []
+    for members in classes.values():
+        if len(members) == 1:
+            stacked += members
+            continue
+        k, s = sum(len(idx) for idx, _, _ in members), members[-1][0].shape[1]
+        idx_all, w_all, v_all = np.full((k, s), spare), np.zeros((k, s)), np.zeros((k, s, s), dtype=complex)
+        v_all[:, np.arange(s), np.arange(s)] = 1.0
+        row = 0
+        for idx, w, v in members:
+            rows, m = slice(row, row + len(idx)), idx.shape[1]
+            idx_all[rows, :m], w_all[rows, :m], v_all[rows, :m, :m] = idx, w, v
+            row += len(idx)
+        stacked.append((idx_all, w_all, v_all))
+    return stacked
 
 
 def _warn_resolution(state: HermiteState, where: str, tol: float = DEFAULT_RESOLUTION_TOL):
@@ -511,17 +602,22 @@ def exp_apply(
     M must be Hermitian: a q whose `coef` is not real raises a `ValueError`.  The
     exponential is exactly unitary because it is evaluated through the
     eigendecomposition of M, one exact sector of M at a time: V e^{i t w} V^H x,
-    with V^H x formed as conj(x^H V), so only V is stored.
+    with V^H x formed as conj(x^H V), so only V is stored.  Sectors of nearby sizes
+    apply as one stacked group (`_stack_classes`); their padding reads and writes a zero
+    slot appended to the state, which the result drops.
     """
     _warn_resolution(psi, "exp_apply input")
-    stack = psi.coeffs.shape[: psi.coeffs.ndim - psi.dims]
-    vec = psi.coeffs.reshape(stack + (-1,))
+    stack, size = psi.coeffs.shape[: psi.coeffs.ndim - psi.dims], ctx.n**ctx.dims
+    factors, padded = _exp_factors(q, ctx)
+    vec = psi.coeffs.reshape(stack + (size,))
+    if padded:  # the padding's zero slot, at index `size`
+        vec = np.concatenate([vec, np.zeros(stack + (1,), dtype=vec.dtype)], axis=-1)
     out = np.empty(vec.shape, dtype=complex)
-    for idx, w, v in _exp_factors(q, ctx):  # batched over each group's sectors
+    for idx, w, v in factors:  # batched over each group's sectors
         x = vec[..., idx][..., None, :].conj() @ v  # x^H V, the conjugate of V^H x
         x = np.exp(1j * t * w) * x[..., 0, :].conj()
         out[..., idx] = (v @ x[..., None])[..., 0]
-    return replace(psi, coeffs=out.reshape(psi.coeffs.shape))
+    return replace(psi, coeffs=out[..., :size].reshape(psi.coeffs.shape))
 
 
 def displacement_apply(phase, shift, psi: HermiteState, ctx: BasisContext) -> HermiteState:

@@ -132,6 +132,23 @@ def test_report_metadata_records_the_environment():
     assert json.loads(report_json(report, drop_timing=True))["metadata"]["env"] == env
 
 
+def test_report_json_is_strict():
+    """A non-finite metric, nested ones included, is written as null and named in
+    metadata.nonfinite; NaN or infinity anywhere else raises rather than writing non-JSON."""
+    report = {"scenario": {}, "pass": {"x": False}, "metadata": {"wall_time_s": 0.1},
+              "metrics": {"a": math.nan, "b": {"c": np.float64(-np.inf), "d": 2.0}, "e": 1.0}}
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    out = json.loads(report_json(report, drop_timing=True), parse_constant=refuse)
+    assert out["metrics"] == {"a": None, "b": {"c": None, "d": 2.0}, "e": 1.0}
+    assert out["metadata"] == {"nonfinite": ["a", "b.c"]}
+    assert json.loads(report_json({**report, "metrics": {"e": 1.0}}))["metadata"]["nonfinite"] == []
+    with pytest.raises(ValueError):
+        report_json({**report, "scenario": {"m": math.nan}})
+
+
 def test_default_labels_cover_all_cases():
     assert "".join(CASES) == "abcdefghijk"
     for case in CASES:
@@ -420,9 +437,9 @@ def test_taus_and_dual_point_taus_the_law_cannot_evaluate_exit_2(tmp_path, comma
 
 
 # the edges of the float range, a JSON integer too large for a float, other JSON types, and a few
-# values every rule accepts, so that some examples run the whole check
+# values every rule accepts, so that some examples run the whole check (2 for the count inputs)
 EDGE_VALUES = [0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
-               10**400, "1", None, [1.0], True, 0.5, 1.0, 3.0]
+               10**400, "1", None, [1.0], True, 0.5, 1.0, 3.0, 2]
 
 
 @given(
@@ -476,6 +493,13 @@ def _numbers(tree):
     return [tree] if isinstance(tree, float) else []
 
 
+def _finite_report(text: str) -> bool:
+    """Whether a report holds no NaN or infinite metric: none written as null, by
+    `metadata.nonfinite`, and none as a number."""
+    report = json.loads(text)
+    return not report["metadata"]["nonfinite"] and all(math.isfinite(x) for x in _numbers(report["metrics"]))
+
+
 @given(inputs=rep_check_inputs())
 @settings(max_examples=300, deadline=None, derandomize=True)  # about 3 s of tier-1
 def test_rep_check_inputs_never_exit_3(inputs):
@@ -491,7 +515,7 @@ def test_rep_check_inputs_never_exit_3(inputs):
         code = _main("rep-check", "--scenario", str(scenario), "--out", str(out))
         assert code in (0, 1, 2)
         if code == 0:
-            assert all(math.isfinite(x) for x in _numbers(json.loads(out.read_text())["metrics"]))
+            assert _finite_report(out.read_text())
 
 
 # inputs that keep each example to milliseconds; edge values then replace one or two inputs
@@ -508,6 +532,11 @@ def _as_json(value):
     return {key: _as_json(v) for key, v in value.items()} if isinstance(value, dict) else value
 
 
+# Most rules reject the first entries of EDGE_VALUES and accept its last four, so a replaced input
+# is drawn from those four as often as from the whole list, and more examples run the whole check
+EDGE_EITHER_END = st.booleans().flatmap(lambda accepted: st.sampled_from(EDGE_VALUES[-4:] if accepted else EDGE_VALUES))
+
+
 def _edge(draw, value, keys=None):
     """An edge value in place of `value`: in an object, one or two of its fields (or of `keys`) at
     an edge value of their own; in a list, one entry (three times in four) or the whole list."""
@@ -517,8 +546,8 @@ def _edge(draw, value, keys=None):
         return value
     if isinstance(value, list) and draw(st.integers(0, 3)):
         at = draw(st.integers(0, len(value) - 1))
-        return value[:at] + [draw(st.sampled_from(EDGE_VALUES))] + value[at + 1 :]
-    return draw(st.sampled_from(EDGE_VALUES))
+        return value[:at] + [draw(EDGE_EITHER_END)] + value[at + 1 :]
+    return draw(EDGE_EITHER_END)
 
 
 @st.composite
@@ -555,7 +584,7 @@ def test_classical_inputs_never_exit_3(command, data):
         code = _main(command, "--scenario", str(scenario), "--out", str(out), "--csv-out", str(rows))
         assert code in (0, 1, 2)
         if code == 0:
-            assert all(math.isfinite(x) for x in _numbers(json.loads(out.read_text())["metrics"]))
+            assert _finite_report(out.read_text())
             assert not rows.exists() or all(map(math.isfinite, _csv_numbers(rows.read_text().splitlines())))
 
 
@@ -578,8 +607,9 @@ def test_evolve_nan_drift_fails(tmp_path, capsys):
     """At m = 5e-324 the energy overflows, so every drift is inf - inf = NaN; a running max() kept
     0.0 and evolve exited 0 with inf and NaN in its CSV rows."""
     assert _main("evolve", "--m", "5e-324", "--csv-out", str(tmp_path / "orbit.csv")) == 1
-    metrics = json.loads(capsys.readouterr().out)["metrics"]
-    assert math.isnan(metrics["h_drift"]) and math.isnan(metrics["j_drift"])
+    report = json.loads(capsys.readouterr().out)  # strict JSON: NaN is written as null and named
+    assert report["metrics"]["h_drift"] is None and report["metrics"]["j_drift"] is None
+    assert {"h_drift", "j_drift"} <= set(report["metadata"]["nonfinite"])
 
 
 def test_group_check_finite_at_the_smallest_accepted_tau():
@@ -601,8 +631,9 @@ def test_rep_check_nan_residuals_fail(tmp_path, capsys):
     with warnings.catch_warnings():  # NumPy's overflow warnings on the way to the NaN
         warnings.simplefilter("ignore", RuntimeWarning)
         assert _main("rep-check", "--scenario", str(scenario)) == 1
-    metrics = json.loads(capsys.readouterr().out)["metrics"]
-    assert math.isnan(metrics["homomorphism_max"]) and math.isnan(metrics["unitarity_max"])
+    report = json.loads(capsys.readouterr().out)  # strict JSON: NaN is written as null and named
+    assert report["metrics"]["homomorphism_max"] is None and report["metrics"]["unitarity_max"] is None
+    assert {"homomorphism_max", "unitarity_max"} <= set(report["metadata"]["nonfinite"])
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 from nhkit.funcspace import (
     BasisContext,
     HermiteState,
+    STACK_BELOW,
     QuadraticOperator,
     ResolutionWarning,
-    _displacement_tables,
+    _sector_factors,
     _sectors,
+    _exp_factors,
     _solver,
     displacement_apply,
     exp_apply,
@@ -292,8 +294,13 @@ def test_displacement_block_low_columns_have_unit_norm():
 
 def cumprod_phase_shift_block(n, lam, phase, shift):
     """The block with g_0^(d) = e^(-x/2) cumprod(sqrt(x/d)), as it was formed before the log
-    space form: same recurrence, same phases."""
-    d, _, _, a, b, c, sign, lo, dist, pick = _displacement_tables(n)
+    space form: same recurrence, same phases, with its own coefficients and gather indices."""
+    d, kk = np.arange(n), np.arange(n - 1)[:, None]
+    r = np.sqrt((kk + 1.0) * (kk + 1 + d))
+    a, b, c = (2 * kk + 1 + d) / r, 1.0 / r, np.sqrt(kk * (kk + d)) / r
+    sign, diff = (-1.0) ** d, np.subtract.outer(d, d)  # row - col
+    lo, dist = np.minimum.outer(d, d), abs(diff)
+    pick = (diff >= 0) * n + dist
     alpha = (lam * shift + 1j * phase / lam) / math.sqrt(2.0)
     x = abs(alpha) ** 2
     g = np.empty((n, n))
@@ -420,6 +427,47 @@ def test_truncated_block_is_unitary(n, lam):
         assert np.linalg.norm(block.conj().T @ block - np.eye(n), 2) <= 1e-13
 
 
+def test_reused_table_gives_the_fresh_block_bit_for_bit(rng):
+    """On a pad=None context, D(-alpha) after D(alpha), and every zero displacement after
+    the first, read a kept table; the block equals a fresh phase_shift_block bit for bit."""
+    ctx = ladder_build(32, 1.1, dims=2)
+    for phase, shift in [(0.0, 0.0)] + [tuple(rng.uniform(-6.0, 6.0, 2)) for _ in range(8)]:
+        assert np.array_equal(ctx.phase_shift_1d(phase, shift), phase_shift_block(32, 1.1, phase, shift))
+        kept = [(key, id(table)) for key, table in ctx._tables.items()]
+        for sign in (-1.0, 1.0):
+            block = ctx.phase_shift_1d(sign * phase, sign * shift)
+            assert [(key, id(table)) for key, table in ctx._tables.items()] == kept  # the kept table was read
+            assert np.array_equal(block, phase_shift_block(32, 1.1, sign * phase, sign * shift))
+        assert not any(table.flags.writeable for table in ctx._tables.values())
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_context_keeps_at_most_dims_tables(rng, dims):
+    """However many elements are applied, a pad=None context holds the tables of its last
+    `dims` displacements, and a pad=0 context holds none."""
+    for pad in (None, 0):
+        ctx = ladder_build(16, 0.9, dims=dims, pad=pad)
+        psi = probe_state(ctx, rng, kmax=3)
+        for _ in range(40):
+            psi = displacement_apply(rng.uniform(-1, 1, dims), rng.uniform(-1, 1, dims), psi, ctx)
+            assert len(ctx._tables) <= (dims if pad is None else 0)
+
+
+@pytest.mark.parametrize("n, lam", [(32, 1.1), (33, 1.3), (96, 1.0)])
+def test_truncated_block_is_the_two_gemm_form_bit_for_bit(n, lam):
+    """A pad=0 block is diag(i^-n) Vy (E_d F E_y) Vy^T from its two real GEMMs, byte for byte,
+    whatever the continuum blocks do."""
+    ctx = ladder_build(n, lam, dims=1, pad=0)
+    wy, vy = np.linalg.eigh(ctx.y1d)
+    turn = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+    f = (vy.T * turn) @ vy
+    for phase, shift in ((0.0, 0.7), (0.4, -1.3), (-2.0, 2.5), (0.0, 0.0)):
+        g_t = np.multiply.outer(np.exp(1j * phase * wy), np.exp(1j * shift * lam**2 * wy)) * f
+        k = np.ascontiguousarray((vy @ g_t.view(float)).view(complex).T)
+        ref = (vy @ k.view(float)).view(complex) * turn.conj()[:, None]
+        assert ctx.phase_shift_1d(phase, shift).tobytes() == ref.tobytes()
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         ladder_build(3, 1.0, dims=1)
@@ -534,6 +582,43 @@ def test_unstructured_generator_is_one_sector_and_matches_dense_path(rng):
     w, v = np.linalg.eigh(mat)
     dense = v @ (np.exp(1j * 0.8 * w) * (v.conj().T @ psi.coeffs))
     assert np.array_equal(exp_apply(q, 0.8, psi, ctx).coeffs, dense)
+
+
+def per_group_apply(factors, t: float, psi: HermiteState) -> np.ndarray:
+    """exp(i t M) psi group by group over unstacked factors, with no padding: the oracle of
+    the stacked path."""
+    stack = psi.coeffs.shape[: psi.coeffs.ndim - psi.dims]
+    vec = psi.coeffs.reshape(stack + (-1,))
+    out = np.empty(vec.shape, dtype=complex)
+    for idx, w, v in factors:
+        x = vec[..., idx][..., None, :].conj() @ v
+        x = np.exp(1j * t * w) * x[..., 0, :].conj()
+        out[..., idx] = (v @ x[..., None])[..., 0]
+    return out.reshape(psi.coeffs.shape)
+
+
+@pytest.mark.parametrize("case, n", [("a", 16), ("b", 40), ("c", 40), ("d", 40), ("e", 40), ("f", 32), ("g", 32)])
+def test_stacked_groups_match_the_per_group_path(case, n, rng):
+    """Sectors below STACK_BELOW stack by size class, padded through a spare zero slot: on
+    stacks of states the result is within 1e-14 of the unstacked groups, and the spare slot
+    never reaches it.  A generator whose sectors all have one size keeps its groups; F's J
+    goes from 32 groups to 6."""
+    ctx, rep, _ = canonical_setup(case, rng, n)
+    states = np.stack([probe_state(ctx, rng, kmax=5).coeffs for _ in range(3)])
+    stack = HermiteState(dims=ctx.dims, n=n, lam=ctx.lam, coeffs=states)
+    spare = n**ctx.dims
+    for q in generators_of(case, rep):
+        unstacked, (stacked, padded) = _sector_factors(q, ctx), _exp_factors(q, ctx)
+        sizes = [idx.shape[1] for idx, _, _ in unstacked]
+        if len(set(sizes)) == 1:
+            assert [idx.shape for idx, _, _ in stacked] == [idx.shape for idx, _, _ in unstacked]
+        assert padded == any((idx == spare).any() for idx, _, _ in stacked) == any(a.bit_length() == b.bit_length() and b < STACK_BELOW for a, b in zip(sizes, sizes[1:]))
+        for t in (0.37, -1.9):
+            out = exp_apply(q, t, stack, ctx).coeffs
+            assert out.shape == states.shape
+            assert np.max(np.abs(out - per_group_apply(unstacked, t, stack))) <= 1e-14
+    if case == "f":
+        assert len(_sector_factors(rep.ops["J"], ctx)) == 32 and len(_exp_factors(rep.ops["J"], ctx)[0]) == 6
 
 
 def random_labels_2d(rng):
